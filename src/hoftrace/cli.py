@@ -2,12 +2,10 @@
 
 Output is JSON (default) or CSV, to stdout or a file.  Floats are emitted
 through Python's repr, i.e. the shortest digit string that round-trips, so
-downstream tools can reproduce values bit for bit.  HOFTRACE_THREADS may
-bound a thread pool used to fan out independent table entries; results are
-always collected in submission order, so output does not depend on the
-worker count.
+downstream tools can reproduce values bit for bit.
 
-Exit codes: 0 success, 1 invalid arguments, 2 verification failure.
+Exit codes: 0 success, 1 invalid arguments or a result beyond the float
+range, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -17,11 +15,9 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from . import dos as dos_mod
 from . import oracle, traces
@@ -38,25 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("HOFTRACE_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pool_map(fn: Callable, items: Iterable) -> list:
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _json_safe(value) -> object:
@@ -76,7 +53,7 @@ def _emit(document: dict, rows: list[dict], fmt: str, output: Optional[str]) -> 
         writer.writeheader()
         for row in rows:
             writer.writerow(
-                {key: "" if val is None else repr(val) if isinstance(val, float) else val
+                {key: "" if val is None else repr(float(val)) if isinstance(val, float) else val
                  for key, val in row.items()}
             )
         text = buffer.getvalue().rstrip("\n")
@@ -96,6 +73,15 @@ def _check_order(n: int, flag: str) -> None:
         raise ValueError(f"{flag} must be nonnegative, got {n}")
     if n > N_MAX_CAP:
         raise ValueError(f"{flag} capped at {N_MAX_CAP}, got {n}")
+
+
+def _check_finite(args: argparse.Namespace) -> None:
+    for flag, value in (
+        ("--lambda", args.lam),
+        ("--lambda-tilde", getattr(args, "lam_tilde", None)),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
 
 
 def _record_rows(records: list[TraceRecord]) -> list[dict]:
@@ -122,18 +108,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     flux = _flux_from_args(args)
     if args.n is not None:
         _check_order(args.n, "--n")
-        orders = [args.n]
+        n_max, orders = args.n, [args.n]
     else:
         _check_order(args.n_max, "--n-max")
-        orders = list(range(args.n_max + 1))
-
-    def one(n: int) -> TraceRecord:
-        value = traces.almost_mathieu_trace(flux, args.lam, n)
-        return TraceRecord(
-            flux, args.lam, n, None, TraceKind.FULL, value, TraceMethod.PARTITION_SUM
-        )
-
-    records = _pool_map(one, orders)
+        n_max, orders = args.n_max, range(args.n_max + 1)
+    table = oracle.walk_trace_table(flux, args.lam, n_max)
+    records = [
+        TraceRecord(flux, args.lam, n, None, TraceKind.FULL, table[n], TraceMethod.WALK)
+        for n in orders
+    ]
     rows = _record_rows(records)
     if args.n is not None:
         document = dict(rows[0])
@@ -269,7 +252,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int, grid: int) -> list[dict]:
     )
 
     formula = {n: traces.almost_mathieu_trace(flux, lam, n) for n in evens}
-    bz_values = _pool_map(lambda n: oracle.bz_trace(flux, lam, n, grid), evens)
+    bz_values = [oracle.bz_trace(flux, lam, n, grid) for n in evens]
     add(
         "trace-vs-bz",
         max(_deviation(formula[n], v) for n, v in zip(evens, bz_values)) if evens else 0.0,
@@ -481,8 +464,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
-    except (InvalidFlux, InvalidCoupling, ValueError, dos_mod.DomainError) as exc:
+    except (
+        InvalidFlux, InvalidCoupling, ValueError, ArithmeticError, dos_mod.DomainError
+    ) as exc:
         print(f"hoftrace: error: {exc}", file=sys.stderr)
         return 1
 

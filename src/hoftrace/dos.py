@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .core import Flux, lambda_tilde
 from .traces import cached_polynomial, central_factor, pm_s_coefficients
@@ -78,6 +77,8 @@ def dos_free(s: float) -> float:
 def _convolution_piece(a: float, b: float, w) -> float:
     # integral over [a, b] of w(t) / sqrt((t-a)*(b-t)), endpoint singularities
     # absorbed by t = mid + half*sin(theta)
+    from scipy.integrate import IntegrationWarning, quad  # deferred: 50 MB at import
+
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
@@ -186,6 +187,8 @@ def dos_moment(profile: DensityProfile, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"moment index must be nonnegative, got {k}")
+    from scipy.integrate import IntegrationWarning, quad  # deferred: 50 MB at import
+
     edge = profile.support_half_width
     interior = [p for p in profile.interior_singularities if -edge < p < edge]
 

@@ -2,9 +2,14 @@
 
 None of these routes touches the partition-sum formulas.  The Bloch matrix
 is diagonalized directly; quantum traces come out either as Brillouin-zone
-averages of eigenvalue powers or as Peierls-phase weighted counts of closed
-lattice walks, and point-spectrum roots are realized by picking momenta
-that hit the requested band parameter s.
+averages of eigenvalue powers or as Peierls-phase weighted lattice walks,
+and point-spectrum roots are realized by picking momenta that hit the
+requested band parameter s.
+
+The walk route is the half-walk moment engine behind ``hoftrace trace``:
+Tr H**(2t) per site is the squared norm of H**t applied to a site state, a
+sum of squares in which nothing cancels, and flux enters only as a phase,
+so its cost does not depend on q.
 """
 
 from __future__ import annotations
@@ -120,37 +125,47 @@ def point_spectrum_roots(flux: Flux, lam: float, s: float, sign: int = 1) -> np.
 def walk_trace_table(
     flux: Flux, lam: float, n_max: int, y_origin: int = 0
 ) -> list[float]:
-    """Return-amplitude of H**t at the origin for every t = 0..n_max.
+    """Tr H**n per site for every n = 0..n_max, from half-length walks.
 
+    The per-site trace is the return amplitude <d0, H**n d0>.  For n = 2t
+    it equals ||H**t d0||**2, a sum of squares, so it is positive and free
+    of cancellation; odd orders vanish (E -> -E) and are exactly 0.0.
     Peierls phases in Landau gauge: a horizontal hop at height y carries
     phase exp(+/- i*gamma*y); vertical hops carry amplitude lam/2 and no
-    phase.  The state lives on a (2*n_max+1)**2 patch, which an n_max-step
-    walk from the origin cannot leave.  y_origin rebases the gauge; the
-    trace must not depend on it.
+    phase.  H**t d0 lives on the (2t+1)**2 square around the origin, so
+    t = n_max//2 steps run on a patch of that size, and each norm is taken
+    over the square alone (a table entry does not depend on n_max).
+    y_origin rebases the gauge; the trace must not depend on it.  Raises
+    OverflowError when a moment exceeds the float range.
     """
     if not lam > 0:
         raise InvalidCoupling(f"coupling must be positive, got {lam}")
     if n_max < 0:
         raise ValueError(f"walk length must be nonnegative, got {n_max}")
-    gamma = flux.gamma
-    size = 2 * n_max + 1
-    heights = np.arange(size) - n_max + y_origin
-    phase = np.exp(1j * gamma * heights)  # indexed by y, broadcast over x
+    half_steps = n_max // 2
+    size = 2 * half_steps + 1
+    heights = np.arange(size) - half_steps + y_origin
+    phase = np.exp(1j * flux.gamma * heights)  # indexed by y, broadcast over x
     half = lam / 2.0
     psi = np.zeros((size, size), dtype=complex)
-    psi[n_max, n_max] = 1.0
+    psi[half_steps, half_steps] = 1.0
     values = [1.0]
-    for _ in range(n_max):
+    for t in range(1, half_steps + 1):
         nxt = np.zeros_like(psi)
-        nxt[1:, :] += phase[None, :] * psi[:-1, :]
-        nxt[:-1, :] += np.conj(phase)[None, :] * psi[1:, :]
-        nxt[:, 1:] += half * psi[:, :-1]
-        nxt[:, :-1] += half * psi[:, 1:]
-        psi = nxt
-        amp = psi[n_max, n_max]
-        if abs(amp.imag) > 1e-10 * (1.0 + abs(amp.real)):
-            raise ArithmeticError(f"walk amplitude has imaginary part {amp.imag!r}")
-        values.append(amp.real)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt[1:, :] += phase[None, :] * psi[:-1, :]
+            nxt[:-1, :] += np.conj(phase)[None, :] * psi[1:, :]
+            nxt[:, 1:] += half * psi[:, :-1]
+            nxt[:, :-1] += half * psi[:, 1:]
+            psi = nxt
+            lo, hi = half_steps - t, half_steps + t + 1
+            square = psi[lo:hi, lo:hi]
+            norm = float(np.vdot(square, square).real)
+        if not math.isfinite(norm):
+            raise OverflowError(f"Tr H^{2 * t} exceeds the float range at lambda {lam}")
+        values += [0.0, norm]
+    if n_max % 2:
+        values.append(0.0)
     return values
 
 

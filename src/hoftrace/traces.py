@@ -56,6 +56,7 @@ class TraceMethod(str, Enum):
     SERIES = "series"
     NEWTON = "newton-power-sum"
     ORACLE = "oracle"
+    WALK = "half-walk"
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hoftrace
+from helpers import ZONE_CASES, zone_traces
 from hoftrace.cli import main
 from hoftrace.traces import TraceKind, trace_series
 from hoftrace.core import make_flux
@@ -37,7 +43,7 @@ def test_trace_single(capsys):
     doc = json.loads(out)
     assert doc["trace"] == 24.0
     assert doc["value"] == 24.0
-    assert doc["method"] == "partition-sum"
+    assert doc["method"] == "half-walk"
     assert doc["kind"] == "full"
 
 
@@ -179,8 +185,79 @@ def test_verify_anisotropic(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-def test_thread_fanout_is_deterministic(capsys, monkeypatch):
-    _, serial, _ = run_cli(capsys, "trace", "--q", "5", "--n-max", "10")
-    monkeypatch.setenv("HOFTRACE_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, "trace", "--q", "5", "--n-max", "10")
-    assert serial == threaded
+def test_trace_is_deterministic(capsys):
+    _, first, _ = run_cli(capsys, "trace", "--q", "5", "--n-max", "10")
+    _, second, _ = run_cli(capsys, "trace", "--q", "5", "--n-max", "10")
+    assert first == second
+
+
+@pytest.mark.parametrize("p, q, lam", ZONE_CASES)
+def test_trace_table_matches_zone(capsys, p, q, lam):
+    code, out, _ = run_cli(
+        capsys, "trace", "--p", str(p), "--q", str(q), "--lambda", str(lam), "--n-max", "64"
+    )
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["n"] for r in records] == list(range(65))
+    zone = zone_traces(p, q, lam, 64)
+    for record in records:
+        expected = zone[record["n"]]
+        assert abs(record["value"] - expected) <= 1e-12 * expected
+        assert record["method"] == "half-walk"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--p", "100", "--q", "401", "--lambda", "3", "--method", "nested"),
+        ("trace", "--q", "3", "--lambda", "1e5", "--n-max", "64"),
+    ],
+)
+def test_arithmetic_error_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hoftrace: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--q", "3", "--n", "4", "--lambda", "inf"),
+        ("trace", "--q", "3", "--n-max", "4", "--lambda", "nan"),
+        ("dos", "--lambda-tilde", "inf", "--grid", "3"),
+    ],
+)
+def test_non_finite_lambda_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_verify_csv_writes_plain_floats(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--p", "1", "--q", "3", "--n-max", "6", "--format", "csv"
+    )
+    assert code == 0
+    assert "np." not in out
+    for row in csv.DictReader(io.StringIO(out)):
+        float(row["max_deviation"])
+        float(row["tolerance"])
+
+
+def test_trace_does_not_load_scipy():
+    script = (
+        "import sys\n"
+        "import hoftrace.cli\n"
+        "assert 'scipy' not in sys.modules, 'import hoftrace loaded scipy'\n"
+        "code = hoftrace.cli.main(['trace', '--q', '5', '--n-max', '16'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'trace loaded scipy'\n"
+    )
+    src = str(Path(hoftrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import all_fluxes, rel_err
+from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
 from hoftrace.chambers import eval_energy_polynomial
 from hoftrace.core import lambda_tilde, make_flux
 from hoftrace.oracle import (
@@ -150,3 +150,21 @@ def test_walk_trace_cap():
     with pytest.raises(TooLarge):
         walk_trace(make_flux(1, 3), 2.0, 21)
     walk_trace(make_flux(1, 3), 2.0, 21, cap=24)
+
+
+@pytest.mark.parametrize("p, q, lam", ZONE_CASES)
+def test_walk_trace_table_matches_zone(p, q, lam):
+    flux = make_flux(p, q)
+    table = walk_trace_table(flux, lam, 64)
+    zone = zone_traces(p, q, lam, 64)
+    assert len(table) == 65
+    for n in range(0, 65, 2):
+        assert abs(table[n] - zone[n]) <= 1e-12 * zone[n]
+    assert all(table[n] == 0.0 for n in range(1, 65, 2))
+    # an entry does not depend on how long the table is
+    assert walk_trace_table(flux, lam, 9) == table[:10]
+
+
+def test_walk_trace_table_overflow_raises():
+    with pytest.raises(OverflowError):
+        walk_trace_table(make_flux(1, 3), 1e5, 64)
