@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -84,6 +85,13 @@ def _check_finite(args: argparse.Namespace) -> None:
             raise ValueError(f"{flag} must be finite, got {value}")
 
 
+def _check_float_range(values, what: str) -> None:
+    # a value beyond the float range exits 1; it is never printed as inf or NaN
+    for index, value in enumerate(values):
+        if not math.isfinite(value):
+            raise OverflowError(f"{what} {index} exceeds the float range")
+
+
 def _record_rows(records: list[TraceRecord]) -> list[dict]:
     return [record.to_dict() for record in records]
 
@@ -92,6 +100,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     flux = _flux_from_args(args)
     build = chambers_nested if args.method == "nested" else chambers_recursive
     poly = build(flux, args.lam)
+    _check_float_range(poly.a, "Chambers coefficient")
     document = {
         "p": flux.p,
         "q": flux.q,
@@ -142,6 +151,10 @@ def cmd_point_trace(args: argparse.Namespace) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", traces.SpectralRangeWarning)
             value = traces.pm_s_trace(poly, args.n, s)
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"the +/-s trace of order {args.n} at s = {s} exceeds the float range"
+            )
         records.append(
             TraceRecord(
                 flux,
@@ -165,6 +178,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     if kind is TraceKind.PLUS_MINUS_S and args.s is None:
         raise ValueError("--kind pm-s needs --s")
     coeffs = traces.trace_series(flux, args.lam, kind, args.s, args.n_max)
+    _check_float_range(coeffs, "series coefficient of order")
     records = [
         TraceRecord(flux, args.lam, n, args.s, kind, value, TraceMethod.SERIES)
         for n, value in enumerate(coeffs)
@@ -336,7 +350,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int, grid: int) -> list[dict]:
             _deviation(dos_mod.dos_moment(profile, k), dos_mod.dos_moment_exact(k, lt))
             for k in range(4)
         ),
-        1e-5,
+        1e-9,
     )
 
     add(
@@ -392,6 +406,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hoftrace",

@@ -2,11 +2,12 @@
 
 The band parameter s = 2*(cos(q*kx) + lt*cos(q*ky)), lt = (lam/2)**q, is a
 sum of two independent arcsine variables, so its density is the convolution
-of arcsine laws on [-2, 2] and [-2*lt, 2*lt].  For lt = 1 the convolution
-collapses to the classic square-lattice density (2*pi**2)**(-1) * K(1 - s**2/16),
+of arcsine laws on [-2, 2] and [-2*lt, 2*lt].  That convolution has the
+closed form K(m) / (2*pi**2*sqrt(lt)), m = ((2 + 2*lt)**2 - s**2) / (16*lt),
 with K the complete elliptic integral of the first kind in the *parameter*
 convention K(m) = integral dtheta / sqrt(1 - m sin(theta)**2); that
 convention is pinned by the series identity (2/pi) K(16x) = sum binom(2k,k)**2 x**k.
+For lt = 1 it is the classic square-lattice density (2*pi**2)**(-1) * K(1 - s**2/16).
 
 Integrating the +/-s point-spectrum trace against this density reproduces
 the full quantum trace.  Two routes are provided: an exact one that pairs
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,43 +74,20 @@ def dos_free(s: float) -> float:
     return _agm_k(x / 4.0) / (2.0 * math.pi**2)
 
 
-def _convolution_piece(a: float, b: float, w) -> float:
-    # integral over [a, b] of w(t) / sqrt((t-a)*(b-t)), endpoint singularities
-    # absorbed by t = mid + half*sin(theta)
-    from scipy.integrate import IntegrationWarning, quad  # deferred: 50 MB at import
-
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-
-    def integrand(theta: float) -> float:
-        return w(mid + half * math.sin(theta))
-
-    with warnings.catch_warnings():
-        # within ~1e-13 of a sub-case boundary the remaining factor has an
-        # integrable inverse-sqrt peak at one theta endpoint; QUADPACK
-        # converges there but distrusts its own error estimate
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(
-            integrand,
-            -0.5 * math.pi,
-            0.5 * math.pi,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
-        )
-    return value
-
-
 def dos_deformed(s: float, lam_tilde: float) -> float:
     """Density of 2*(cos(q*kx) + lam_tilde*cos(q*ky)) over uniform momenta.
 
-    Computed as the convolution of the two arcsine laws, split into the
-    sub-cases dictated by which square-root factor is singular at each
-    integration endpoint; the cancelled factors are removed analytically so
-    the substituted integrand stays bounded.  lam_tilde = 1 delegates to
-    :func:`dos_free`.  The value at the interior logarithmic singularity
-    |s| = |2*lam_tilde - 2| is math.inf; at the support edge the finite
-    inner limit 1/(4*pi*sqrt(lam_tilde)) is returned, mirroring dos_free.
+    Closed form K(m) / (2*pi**2*sqrt(lam_tilde)) with
+    m = ((2 + 2*lam_tilde)**2 - s**2) / (16*lam_tilde) (Morita & Horiguchi,
+    J. Math. Phys. 12, 1971); below the van Hove point m > 1 and K(m) is
+    continued as K(1/m)/sqrt(m).  Both complement roots are formed from the
+    factors (|s| -/+ pinch) and (edge -/+ |s|), never as sqrt(1 - m), so they
+    keep their relative accuracy next to the singularity and no product
+    leaves the float range.  lam_tilde = 1 delegates to :func:`dos_free`.
+    The value at the interior logarithmic singularity
+    |s| = pinch = |2*lam_tilde - 2| is math.inf; at the support edge the
+    finite inner limit 1/(4*pi*sqrt(lam_tilde)) is returned, mirroring
+    dos_free.
     """
     if not lam_tilde > 0.0:
         raise DomainError(f"lam_tilde must be positive, got {lam_tilde}")
@@ -127,21 +104,14 @@ def dos_deformed(s: float, lam_tilde: float) -> float:
     if x == pinch:
         return math.inf
     if x > pinch:
-        # one endpoint from each factor: [x-2, 2*lt]
-        value = _convolution_piece(
-            x - 2.0, 2.0 * lt, lambda t: 1.0 / math.sqrt((2.0 + x - t) * (2.0 * lt + t))
-        )
-    elif lt > 1.0:
-        # both endpoints from the narrow factor: [x-2, x+2]
-        value = _convolution_piece(
-            x - 2.0, x + 2.0, lambda t: 1.0 / math.sqrt(4.0 * lt * lt - t * t)
-        )
-    else:
-        # both endpoints from the wide factor: [-2*lt, 2*lt]
-        value = _convolution_piece(
-            -2.0 * lt, 2.0 * lt, lambda t: 1.0 / math.sqrt(4.0 - (x - t) * (x - t))
-        )
-    return value / math.pi**2
+        # 1 - m = (x - pinch) * (x + pinch) / (16 * lt)
+        scale = 4.0 * math.sqrt(lt)
+        root = math.sqrt((x - pinch) / scale * ((x + pinch) / scale))
+        return _agm_k(root) / (2.0 * math.pi**2 * math.sqrt(lt))
+    # 1 - 1/m = (pinch - x) * (pinch + x) / ((edge - x) * (edge + x)), and
+    # sqrt(lt * m) = sqrt((edge - x) * (edge + x)) / 4
+    root = math.sqrt((pinch - x) / (edge - x) * ((pinch + x) / (edge + x)))
+    return 2.0 * _agm_k(root) / (math.pi**2 * math.sqrt(edge - x) * math.sqrt(edge + x))
 
 
 @dataclass(frozen=True)
@@ -180,39 +150,22 @@ def dos_moment_exact(k: int, lam_tilde: float) -> float:
 
 
 def dos_moment(profile: DensityProfile, k: int) -> float:
-    """2k-th moment of the density by adaptive quadrature over the support.
+    """2k-th moment of the density, summed over the tanh-sinh density table.
 
-    The integration is split at the interior logarithmic singularities so
-    QUADPACK only ever meets them as subinterval endpoints.
+    Uses the same fixed rule as :func:`integrate_point_traces`, so this
+    moment check validates exactly the quadrature that recovers the trace.
     """
     if k < 0:
         raise ValueError(f"moment index must be nonnegative, got {k}")
-    from scipy.integrate import IntegrationWarning, quad  # deferred: 50 MB at import
-
-    edge = profile.support_half_width
-    interior = [p for p in profile.interior_singularities if -edge < p < edge]
-
-    def integrand(s: float) -> float:
-        return s ** (2 * k) * profile.density(s)
-
-    with warnings.catch_warnings():
-        # roundoff chatter next to the integrable log singularities; accuracy
-        # is enforced against the closed-form moments, not the estimate
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(
-            integrand,
-            -edge,
-            edge,
-            points=interior or None,
-            epsabs=1e-8,
-            epsrel=1e-8,
-            limit=400,
-        )
-    return value
+    abscissas, weights = _density_table(profile.lam_tilde, QUADRATURE_NODES)
+    return sum(w * s ** (2 * k) for s, w in zip(abscissas, weights))
 
 
 # minimum tanh-sinh node count per smooth piece for the trace integral
 MIN_QUADRATURE_NODES = 32
+# default node count: dos_moment then meets the exact moments k < 4 to
+# 1.5e-10 at every lam_tilde = (lam/2)**q, lam in {0.7, 2, 3}, q <= 13
+QUADRATURE_NODES = 160
 _TANH_SINH_CUTOFF = 3.0
 
 
@@ -255,7 +208,7 @@ def _density_table(
 
 
 def integrate_point_traces(
-    flux: Flux, lam: float, n: int, quadrature_nodes: int = 160
+    flux: Flux, lam: float, n: int, quadrature_nodes: int = QUADRATURE_NODES
 ) -> float:
     """Recover the full quantum trace by integrating +/-s traces against the density.
 

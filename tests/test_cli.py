@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import hoftrace
@@ -123,6 +124,19 @@ def test_dos_csv_round_trip(capsys):
     assert moments == [1.0, 4.0, 36.0, 400.0, 4900.0, 63504.0]
 
 
+def test_dos_next_to_van_hove_point_matches_mpmath(capsys):
+    # grid point 20 lies within an ulp of the van Hove point s = 2 - 2*0.35
+    code, out, _ = run_cli(capsys, "dos", "--q", "1", "--lambda", "0.7", "--grid", "28")
+    assert code == 0
+    sample = json.loads(out)["samples"][20]
+    with mpmath.workdps(40):
+        lt = mpmath.mpf(0.35)
+        m = ((2 + 2 * lt) ** 2 - mpmath.mpf(sample["s"]) ** 2) / (16 * lt)
+        k = mpmath.ellipk(m) if m < 1 else mpmath.ellipk(1 / m) / mpmath.sqrt(m)
+        expected = float(k / (2 * mpmath.pi**2 * mpmath.sqrt(lt)))
+    assert abs(sample["density"] - expected) <= 1e-12 * expected
+
+
 def test_dos_lambda_tilde_override(capsys):
     code, out, _ = run_cli(
         capsys, "dos", "--q", "5", "--lambda-tilde", "0.5", "--grid", "3"
@@ -162,6 +176,21 @@ def test_usage_error_exits_one(capsys):
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 1
+
+
+def test_successive_calls_do_not_share_arguments(capsys):
+    code, out, _ = run_cli(capsys, "dos", "--q", "5", "--lambda-tilde", "0.5", "--grid", "3")
+    assert code == 0 and json.loads(out)["lambda_tilde"] == 0.5
+    code, out, _ = run_cli(capsys, "point-trace", "--q", "2", "--n", "4", "--s", "1")
+    assert code == 0 and [r["s"] for r in json.loads(out)["records"]] == [1.0]
+    code, out, _ = run_cli(capsys, "series", "--q", "2", "--n-max", "4")
+    assert code == 0
+    assert {r["s"] for r in json.loads(out)["records"]} == {None}
+    code, out, _ = run_cli(capsys, "dos", "--q", "5", "--grid", "3")
+    assert code == 0 and json.loads(out)["lambda_tilde"] == 1.0
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--q", "2"])  # --n-max is required on every call
     assert exc.value.code == 1
 
 
@@ -211,6 +240,9 @@ def test_trace_table_matches_zone(capsys, p, q, lam):
     [
         ("coeffs", "--p", "100", "--q", "401", "--lambda", "3", "--method", "nested"),
         ("trace", "--q", "3", "--lambda", "1e5", "--n-max", "64"),
+        ("series", "--q", "3", "--lambda", "1e5", "--n-max", "64"),
+        ("point-trace", "--q", "3", "--lambda", "1e5", "--n", "64", "--s", "0"),
+        ("coeffs", "--q", "1001", "--lambda", "3"),
     ],
 )
 def test_arithmetic_error_exits_one(capsys, argv):
@@ -251,9 +283,12 @@ def test_trace_does_not_load_scipy():
         "import sys\n"
         "import hoftrace.cli\n"
         "assert 'scipy' not in sys.modules, 'import hoftrace loaded scipy'\n"
-        "code = hoftrace.cli.main(['trace', '--q', '5', '--n-max', '16'])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'trace loaded scipy'\n"
+        "for argv in (['trace', '--q', '5', '--n-max', '16'],\n"
+        "             ['dos', '--q', '2', '--lambda', '0.7'],\n"
+        "             ['verify', '--q', '3', '--lambda', '0.7', '--n-max', '16']):\n"
+        "    code = hoftrace.cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "    assert 'scipy' not in sys.modules, f'{argv[0]} loaded scipy'\n"
     )
     src = str(Path(hoftrace.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

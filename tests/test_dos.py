@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import rel_err
-from hoftrace.core import make_flux
+from hoftrace.core import lambda_tilde, make_flux
 from hoftrace.dos import (
     DensityProfile,
     DomainError,
@@ -98,6 +98,46 @@ def test_dos_deformed_continuous_across_subcase_boundaries(lt):
     assert rel_err(lo, hi) < 1e-6
 
 
+def quad_convolution_density(s, lt):
+    """Convolution of the arcsine laws on [-2, 2] and [-2*lt, 2*lt] by SciPy quad.
+
+    The integration interval is split by which square-root factor vanishes
+    at each endpoint; t = mid + half*sin(theta) absorbs those endpoint
+    singularities and the cancelled factors are removed analytically.
+    """
+    x = abs(s)
+    if x > abs(2.0 * lt - 2.0):
+        a, b = x - 2.0, 2.0 * lt
+        rest = lambda t: 1.0 / math.sqrt((2.0 + x - t) * (2.0 * lt + t))
+    elif lt > 1.0:
+        a, b = x - 2.0, x + 2.0
+        rest = lambda t: 1.0 / math.sqrt(4.0 * lt * lt - t * t)
+    else:
+        a, b = -2.0 * lt, 2.0 * lt
+        rest = lambda t: 1.0 / math.sqrt(4.0 - (x - t) * (x - t))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    value, _ = quad(
+        lambda theta: rest(mid + half * math.sin(theta)),
+        -0.5 * math.pi,
+        0.5 * math.pi,
+        epsabs=1e-14,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return value / math.pi**2
+
+
+@pytest.mark.parametrize("lt", (1e-3, *LT_SWEEP, 30.0))
+def test_dos_deformed_matches_quad_convolution(lt):
+    edge = 2.0 * (1.0 + lt)
+    pinch = abs(2.0 * lt - 2.0)
+    for i in range(1, 40):
+        s = edge * i / 40.0
+        if abs(s - pinch) < 1e-3 * edge:
+            continue
+        assert rel_err(dos_deformed(s, lt), quad_convolution_density(s, lt)) < 1e-10
+
+
 def test_dos_deformed_edge_limit():
     for lt in LT_SWEEP:
         edge = 2.0 * (1.0 + lt)
@@ -126,6 +166,16 @@ def test_quadrature_moments_match_exact(lt):
     profile = DensityProfile(lt)
     for k in range(5):
         assert rel_err(dos_moment(profile, k), dos_moment_exact(k, lt)) < 1e-5
+
+
+def test_quadrature_moments_cover_verify_domain():
+    # every lam_tilde = (lam/2)**q that verify meets at q <= 13
+    for lam in (2.0, 0.7, 3.0):
+        for q in range(1, 14):
+            lt = lambda_tilde(lam, q)
+            profile = DensityProfile(lt)
+            for k in range(4):
+                assert rel_err(dos_moment(profile, k), dos_moment_exact(k, lt)) < 1e-9
 
 
 def test_integrate_point_traces_values():
