@@ -40,18 +40,6 @@ from .dos import (
     integrate_point_traces,
     integrate_point_traces_exact,
 )
-from .oracle import (
-    InsufficientGridWarning,
-    RangeError,
-    TooLarge,
-    band_energies,
-    bz_trace,
-    eigenvalues,
-    point_spectrum_roots,
-    secular_matrix,
-    walk_trace,
-    walk_trace_table,
-)
 from .traces import (
     DegeneratePolynomial,
     SpectralRangeWarning,
@@ -69,6 +57,31 @@ from .traces import (
 )
 
 __version__ = "0.1.0"
+
+# the oracles are the only NumPy users, so they load on first access
+_ORACLE_NAMES = frozenset(
+    {
+        "InsufficientGridWarning",
+        "RangeError",
+        "TooLarge",
+        "band_energies",
+        "bz_trace",
+        "eigenvalues",
+        "point_spectrum_roots",
+        "secular_matrix",
+        "walk_trace",
+        "walk_trace_table",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BuildingBlock",

@@ -127,21 +127,19 @@ def chambers_recursive(flux: Flux, lam: float) -> ChambersPolynomial:
     return ChambersPolynomial(flux, lam, a)
 
 
-def _nested_coefficient(flux: Flux, lam: float, j: int) -> complex:
+def _nested_coefficient(q: int, beta: list[complex], j: int) -> complex:
     """One coefficient a(2j) from the closed nested-sum formula.
 
     The sum runs over q-2j >= k_1 >= k_2 >= ... >= k_j >= 0 of the product
     of building blocks beta(k_i + 2*(j-i)).  Accumulating prefix sums from
     the innermost index outward collapses the nest to O(q) work per level.
-    Empty ranges (q < 2j) yield zero.
+    Empty ranges (q < 2j) yield zero.  beta holds the block products.
     """
-    q = flux.q
     if j == 0:
         return -1.0 + 0j
     top = q - 2 * j
     if top < 0:
         return 0j
-    beta = _block_products(flux, lam)
     level = [beta[m] for m in range(top + 1)]
     for i in range(j - 1, 0, -1):
         offset = 2 * (j - i)
@@ -160,8 +158,9 @@ def _nested_coefficient(flux: Flux, lam: float, j: int) -> complex:
 
 def chambers_nested(flux: Flux, lam: float) -> ChambersPolynomial:
     """Coefficients from the nested-sum closed form (independent of the recursion)."""
+    beta = _block_products(flux, lam)
     a = tuple(
-        _real_checked(_nested_coefficient(flux, lam, j))
+        _real_checked(_nested_coefficient(flux.q, beta, j))
         for j in range(flux.q // 2 + 1)
     )
     return ChambersPolynomial(flux, lam, a)

@@ -21,7 +21,7 @@ import warnings
 from typing import Optional
 
 from . import dos as dos_mod
-from . import oracle, traces
+from . import traces
 from .chambers import chambers_nested, chambers_recursive
 from .core import Flux, InvalidCoupling, InvalidFlux, lambda_tilde, make_flux
 from .traces import TraceKind, TraceMethod, TraceRecord
@@ -114,6 +114,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import oracle  # NumPy loads only for the commands that use the oracles
+
     flux = _flux_from_args(args)
     if args.n is not None:
         _check_order(args.n, "--n")
@@ -227,6 +229,8 @@ def _deviation(a: float, b: float) -> float:
 
 
 def _verify_checks(flux: Flux, lam: float, n_max: int, grid: int) -> list[dict]:
+    from . import oracle
+
     q = flux.q
     lt = lambda_tilde(lam, q)
     rec = chambers_recursive(flux, lam)

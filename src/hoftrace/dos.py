@@ -13,7 +13,8 @@ Integrating the +/-s point-spectrum trace against this density reproduces
 the full quantum trace.  Two routes are provided: an exact one that pairs
 the s**2-expansion of the trace with closed-form moments, and a numerical
 one that actually integrates the tabulated density (and thereby validates
-the density construction itself).
+the density construction itself).  The density table's tanh-sinh rule is
+built with ``math`` alone, so this module never loads NumPy.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import Flux, lambda_tilde
 from .traces import cached_polynomial, central_factor, pm_s_coefficients
@@ -184,16 +183,19 @@ def _density_table(
     cuts = sorted(
         {-edge, edge, *(p for p in profile.interior_singularities if -edge < p < edge)}
     )
-    u = np.linspace(-_TANH_SINH_CUTOFF, _TANH_SINH_CUTOFF, nodes)
-    step = u[1] - u[0]
-    sinh_u = 0.5 * math.pi * np.sinh(u)
-    base_x = np.tanh(sinh_u)
-    base_w = step * 0.5 * math.pi * np.cosh(u) / np.cosh(sinh_u) ** 2
+    step = 2.0 * _TANH_SINH_CUTOFF / (nodes - 1)
+    base = []
+    for i in range(nodes):
+        u = -_TANH_SINH_CUTOFF + i * step
+        sinh_u = 0.5 * math.pi * math.sinh(u)
+        base.append(
+            (math.tanh(sinh_u), step * 0.5 * math.pi * math.cosh(u) / math.cosh(sinh_u) ** 2)
+        )
     abscissas: list[float] = []
     weights: list[float] = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for x, w in zip(base_x, base_w):
+        for x, w in base:
             # for extremely narrow pieces rounding can push a node onto a
             # singular cut; clamp strictly inside and drop exact collisions
             # (their true contribution is O(w * log) and the piece mass is

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from helpers import proper_fluxes, rel_err
+import hoftrace.chambers
 from hoftrace.chambers import (
+    _block_products,
     building_block,
     chambers_nested,
     chambers_recursive,
@@ -100,7 +102,21 @@ def test_leading_coefficient_is_exactly_minus_one():
 def test_coefficient_vanishes_beyond_degree():
     for p, q in ((1, 4), (1, 5), (2, 7)):
         flux = make_flux(p, q)
-        assert _nested_coefficient(flux, 2.0, q // 2 + 1) == 0j
+        beta = _block_products(flux, 2.0)
+        assert _nested_coefficient(q, beta, q // 2 + 1) == 0j
+
+
+@pytest.mark.parametrize("p, q", ((1, 1), (1, 2), (3, 8), (7, 101)))
+def test_nested_builds_each_block_once(monkeypatch, p, q):
+    built = []
+
+    def counting_block(flux, lam, k):
+        built.append(k)
+        return building_block(flux, lam, k)
+
+    monkeypatch.setattr(hoftrace.chambers, "building_block", counting_block)
+    chambers_nested(make_flux(p, q), 0.7)
+    assert sorted(built) == list(range(q - 1))
 
 
 def test_eval_energy_polynomial():

@@ -296,3 +296,31 @@ def test_trace_does_not_load_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_array_free_commands_do_not_load_numpy():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import hoftrace.cli\n"
+        "assert 'numpy' not in sys.modules, 'import hoftrace loaded numpy'\n"
+        "for argv in (['coeffs', '--q', '7', '--lambda', '0.7'],\n"
+        "             ['coeffs', '--q', '7', '--method', 'nested'],\n"
+        "             ['series', '--q', '5', '--kind', 'pm-s', '--s', '1', '--n-max', '16'],\n"
+        "             ['point-trace', '--q', '5', '--n', '8', '--s', '0', '1'],\n"
+        "             ['dos', '--q', '2', '--lambda', '0.7']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = hoftrace.cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = hoftrace.cli.main(['trace', '--q', '3', '--n', '4'])\n"
+        "assert code == 0, code\n"
+        "assert json.loads(out.getvalue())['trace'] == 24.0, out.getvalue()\n"
+    )
+    src = str(Path(hoftrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

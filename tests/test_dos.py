@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from helpers import rel_err
 from hoftrace.core import lambda_tilde, make_flux
 from hoftrace.dos import (
+    QUADRATURE_NODES,
     DensityProfile,
+    _density_table,
     DomainError,
     dos_deformed,
     dos_free,
@@ -176,6 +179,49 @@ def test_quadrature_moments_cover_verify_domain():
             profile = DensityProfile(lt)
             for k in range(4):
                 assert rel_err(dos_moment(profile, k), dos_moment_exact(k, lt)) < 1e-9
+
+
+def _numpy_density_table(lam_tilde, nodes):
+    # the tanh-sinh table as NumPy built it, kept as the oracle of the math-built one
+    profile = DensityProfile(lam_tilde)
+    edge = profile.support_half_width
+    cuts = sorted(
+        {-edge, edge, *(p for p in profile.interior_singularities if -edge < p < edge)}
+    )
+    u = np.linspace(-3.0, 3.0, nodes)
+    step = u[1] - u[0]
+    sinh_u = 0.5 * math.pi * np.sinh(u)
+    base_x = np.tanh(sinh_u)
+    base_w = step * 0.5 * math.pi * np.cosh(u) / np.cosh(sinh_u) ** 2
+    abscissas, weights = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        for x, w in zip(base_x, base_w):
+            s = min(max(mid + half * x, math.nextafter(a, b)), math.nextafter(b, a))
+            rho = profile.density(s)
+            if math.isfinite(rho):
+                abscissas.append(s)
+                weights.append(half * w * rho)
+    return abscissas, weights
+
+
+# At lt = 1e-6 dozens of nodes sit within 1e-12 of the pinch, where the
+# log-singular density turns a one-ulp move of a node into a 1e-5 change of
+# its weight.  np.tanh is off by one ulp at 45 of the 160 base nodes (math.tanh
+# at 8, against mpmath), so there the two rules differ by 2.1e-13, three orders
+# below either rule's own error against the exact moments (1.6e-10).
+@pytest.mark.parametrize("lt, tol", ((1e-6, 1e-12), (0.35, 1e-14), (1.0, 1e-14), (1e3, 1e-14)))
+def test_density_table_matches_numpy_rule(lt, tol):
+    abscissas, weights = _density_table(lt, QUADRATURE_NODES)
+    assert all(type(v) is float for v in abscissas + weights)
+    ref_abscissas, ref_weights = _numpy_density_table(lt, QUADRATURE_NODES)
+    # compared by moments, not node by node
+    for k in range(4):
+        ours = sum(w * s ** (2 * k) for s, w in zip(abscissas, weights))
+        ref = sum(w * s ** (2 * k) for s, w in zip(ref_abscissas, ref_weights))
+        assert abs(ours - ref) <= tol * abs(ref), k
+        exact = dos_moment_exact(k, lt)
+        assert abs(ours - exact) <= abs(ref - exact) + 1e-14 * exact, k
 
 
 def test_integrate_point_traces_values():
