@@ -63,13 +63,11 @@ _ORACLE_NAMES = frozenset(
     {
         "InsufficientGridWarning",
         "RangeError",
-        "TooLarge",
         "band_energies",
         "bz_trace",
         "eigenvalues",
         "point_spectrum_roots",
         "secular_matrix",
-        "walk_trace",
         "walk_trace_table",
     }
 )
@@ -98,7 +96,6 @@ __all__ = [
     "PartitionTerm",
     "RangeError",
     "SpectralRangeWarning",
-    "TooLarge",
     "TraceKind",
     "TraceMethod",
     "TraceRecord",
@@ -130,6 +127,5 @@ __all__ = [
     "secular_matrix",
     "trace_series",
     "trace_sum_rule",
-    "walk_trace",
     "walk_trace_table",
 ]

@@ -27,6 +27,8 @@ from .core import Flux, InvalidCoupling, InvalidFlux, lambda_tilde, make_flux
 from .traces import TraceKind, TraceMethod, TraceRecord
 
 N_MAX_CAP = 64
+# verify's walk-check range: past n = 20 the float partition sum fails 1e-8 at most q <= 13
+WALK_CHECK_N_MAX = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,9 +79,11 @@ def _check_order(n: int, flag: str) -> None:
 
 
 def _check_finite(args: argparse.Namespace) -> None:
+    s = getattr(args, "s", None)  # a list for point-trace, a scalar or None for series
     for flag, value in (
         ("--lambda", args.lam),
         ("--lambda-tilde", getattr(args, "lam_tilde", None)),
+        *(("--s", v) for v in (s if isinstance(s, list) else [s])),
     ):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -191,22 +195,26 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_dos(args: argparse.Namespace) -> int:
+    if args.q < 1:
+        raise ValueError(f"--q must be positive, got {args.q}")
     if args.lam_tilde is not None:
         lt = args.lam_tilde
     else:
         lt = lambda_tilde(args.lam, args.q)
     profile = dos_mod.DensityProfile(lt)
     edge = profile.support_half_width
+    if not math.isfinite(edge):  # edge = 2*(1 + lt) also overflows when lt does
+        raise OverflowError(f"the support half-width at lambda_tilde {lt} exceeds the float range")
     grid = args.grid
     if grid < 2:
         raise ValueError(f"--grid must be at least 2, got {grid}")
+    moment_values = [dos_mod.dos_moment_exact(k, lt) for k in range(6)]
+    _check_float_range(moment_values, "density moment")
     samples = []
     for i in range(grid):
         s = -edge + 2.0 * edge * i / (grid - 1)
         samples.append({"s": s, "density": profile.density(s)})
-    moments = [
-        {"k": k, "value": dos_mod.dos_moment_exact(k, lt)} for k in range(6)
-    ]
+    moments = [{"k": k, "value": value} for k, value in enumerate(moment_values)]
     document = {
         "lambda_tilde": lt,
         "support_half_width": edge,
@@ -228,7 +236,7 @@ def _deviation(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _verify_checks(flux: Flux, lam: float, n_max: int, grid: int) -> list[dict]:
+def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
     from . import oracle
 
     q = flux.q
@@ -270,13 +278,14 @@ def _verify_checks(flux: Flux, lam: float, n_max: int, grid: int) -> list[dict]:
     )
 
     formula = {n: traces.almost_mathieu_trace(flux, lam, n) for n in evens}
-    bz_values = [oracle.bz_trace(flux, lam, n, grid) for n in evens]
+    # the exact reduced-zone grid for the highest order serves every order
+    bz_values = [oracle.bz_trace(flux, lam, n, n_max // q + 1) for n in evens]
     add(
         "trace-vs-bz",
         max(_deviation(formula[n], v) for n, v in zip(evens, bz_values)) if evens else 0.0,
         1e-8,
     )
-    walk_cap = min(n_max, oracle.WALK_LENGTH_CAP)
+    walk_cap = min(n_max, WALK_CHECK_N_MAX)
     walks = oracle.walk_trace_table(flux, lam, walk_cap)
     add(
         "trace-vs-walk",
@@ -395,8 +404,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int, grid: int) -> list[dict]:
 def cmd_verify(args: argparse.Namespace) -> int:
     flux = _flux_from_args(args)
     _check_order(args.n_max, "--n-max")
-    grid = args.grid if args.grid is not None else max(8, args.n_max + 1)
-    checks = _verify_checks(flux, args.lam, args.n_max, grid)
+    checks = _verify_checks(flux, args.lam, args.n_max)
     failed = [c for c in checks if c["status"] == "fail"]
     document = {
         "p": flux.p,
@@ -472,8 +480,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the cross-oracle verification suite")
     common(p)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--grid", type=int, default=None,
-                   help="momentum grid for the Brillouin-zone check")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -130,23 +130,20 @@ def _ell_tails(remainder: int, j: int, m: int) -> Iterator[tuple[int, ...]]:
             yield (v,) + tail
 
 
-def enumerate_partition_terms(
-    half_n: int, q: int, allow_k: bool = True
-) -> Iterator[PartitionTerm]:
+def enumerate_partition_terms(half_n: int, q: int) -> Iterator[PartitionTerm]:
     """Yield every (k, l) with q*k + sum_j j*l_j = half_n.
 
-    With allow_k=False the index k is pinned to zero and the enumeration
-    reduces to partitions of half_n into parts of size at most floor(q/2).
-    Terms come out in ascending lexicographic order on (k, l_1, ..., l_m);
-    downstream floating-point sums rely on this order for reproducibility.
+    The k = 0 terms, which come first, are the partitions of half_n into
+    parts of size at most floor(q/2).  Terms come out in ascending
+    lexicographic order on (k, l_1, ..., l_m); downstream floating-point
+    sums rely on this order for reproducibility.
     """
     if q < 1:
         raise InvalidFlux(f"denominator must be positive, got {q}")
     if half_n < 0:
         return
     m = q // 2
-    k_top = half_n // q if allow_k else 0
-    for k in range(k_top + 1):
+    for k in range(half_n // q + 1):
         for ell in _ell_tails(half_n - q * k, 1, m):
             yield PartitionTerm(k, ell)
 

@@ -6,6 +6,10 @@ averages of eigenvalue powers or as Peierls-phase weighted lattice walks,
 and point-spectrum roots are realized by picking momenta that hit the
 requested band parameter s.
 
+The zone average runs over the band angles (q*kx, q*ky), the only way
+momentum enters the spectrum; a uniform G x G grid of them averages Tr H**n
+exactly once G >= n//q + 1.
+
 The walk route is the half-walk moment engine behind ``hoftrace trace``:
 Tr H**(2t) per site is the squared norm of H**t applied to a site state, a
 sum of squares in which nothing cancels, and flux enters only as a phase,
@@ -14,7 +18,6 @@ so its cost does not depend on q.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 
@@ -22,80 +25,73 @@ import numpy as np
 
 from .core import Flux, InvalidCoupling, lambda_tilde
 
-WALK_LENGTH_CAP = 20
-
 
 class RangeError(ValueError):
     """No real momentum realizes the requested band parameter."""
-
-
-class TooLarge(ValueError):
-    """Walk length exceeds the configured cap."""
 
 
 class InsufficientGridWarning(UserWarning):
     """Momentum grid too coarse to integrate the trace exactly."""
 
 
-def secular_matrix(flux: Flux, lam: float, kx: float, ky: float) -> np.ndarray:
-    """q x q Hermitian Bloch matrix: cosine diagonal, unit hops, phased corners."""
+def secular_matrix(
+    flux: Flux, lam: float, kx: float | np.ndarray, ky: float | np.ndarray
+) -> np.ndarray:
+    """Hermitian Bloch matrices: cosine diagonal, unit hops, phased corners.
+
+    kx and ky broadcast against each other and the result has shape
+    (..., q, q), so scalar momenta give a single q x q matrix.
+    """
     if not lam > 0:
         raise InvalidCoupling(f"coupling must be positive, got {lam}")
     q = flux.q
-    m = np.zeros((q, q), dtype=complex)
-    for r in range(q):
-        m[r, r] = lam * math.cos(ky + flux.gamma * r)
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+    rows = np.arange(q)
+    m = np.zeros(kx.shape + (q, q), dtype=complex)
+    m[..., rows, rows] = lam * np.cos(ky[..., None] + flux.gamma * rows)
     if q == 1:
-        m[0, 0] += 2.0 * math.cos(q * kx)
+        m[..., 0, 0] += 2.0 * np.cos(kx)
     else:
-        for r in range(q - 1):
-            m[r, r + 1] += 1.0
-            m[r + 1, r] += 1.0
-        m[0, q - 1] += cmath.exp(-1j * q * kx)
-        m[q - 1, 0] += cmath.exp(1j * q * kx)
+        corner = np.exp(1j * q * kx)
+        m[..., rows[:-1], rows[:-1] + 1] = 1.0
+        m[..., rows[:-1] + 1, rows[:-1]] = 1.0
+        m[..., 0, q - 1] += corner.conj()
+        m[..., q - 1, 0] += corner
     return m
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending."""
+    """All eigenvalues of a Hermitian matrix (or a stack of them), ascending."""
     return np.linalg.eigvalsh(matrix)
 
 
-def band_energies(flux: Flux, lam: float, kx: float, ky: float) -> np.ndarray:
-    """The q band energies at one momentum, ascending."""
+def band_energies(
+    flux: Flux, lam: float, kx: float | np.ndarray, ky: float | np.ndarray
+) -> np.ndarray:
+    """The q band energies at each momentum, ascending along the last axis."""
     return eigenvalues(secular_matrix(flux, lam, kx, ky))
 
 
 def bz_trace(flux: Flux, lam: float, n: int, grid: int) -> float:
-    """Trace of H**n per site as a uniform Brillouin-zone average.
+    """Trace of H**n per site as a Brillouin-zone average of band energies.
 
-    The integrand is a trigonometric polynomial of degree at most n in each
-    momentum, so a periodic grid with at least n+1 points per axis
-    integrates it exactly (up to eigensolver error).  Coarser grids are
-    allowed but flagged.  The reduction runs in row-major grid order.
+    The spectrum depends on momentum only through the band angles
+    (q*kx, q*ky), and sum_r E_r**n is a trigonometric polynomial of degree
+    floor(n/q) in each of them.  So the average over a uniform grid x grid
+    lattice of band angles is exact (up to eigensolver error) once
+    grid >= n//q + 1; coarser grids are allowed but flagged.
     """
     if grid < 1:
         raise ValueError(f"grid must be positive, got {grid}")
-    if grid < n + 1:
+    q = flux.q
+    if grid < n // q + 1:
         warnings.warn(
-            f"grid {grid} < n+1 = {n + 1}: momentum average is not exact",
+            f"grid {grid} < n//q + 1 = {n // q + 1}: momentum average is not exact",
             InsufficientGridWarning,
             stacklevel=2,
         )
-    q = flux.q
-    ks = -math.pi + 2.0 * math.pi * np.arange(grid) / grid
-    mats = np.zeros((grid, grid, q, q), dtype=complex)
-    diag = lam * np.cos(ks[None, :, None] + flux.gamma * np.arange(q)[None, None, :])
-    rows = np.arange(q)
-    mats[:, :, rows, rows] = diag
-    if q == 1:
-        mats[:, :, 0, 0] += 2.0 * np.cos(q * ks)[:, None]
-    else:
-        mats[:, :, rows[:-1], rows[:-1] + 1] += 1.0
-        mats[:, :, rows[:-1] + 1, rows[:-1]] += 1.0
-        mats[:, :, 0, q - 1] += np.exp(-1j * q * ks)[:, None]
-        mats[:, :, q - 1, 0] += np.exp(1j * q * ks)[:, None]
-    energies = np.linalg.eigvalsh(mats)
+    ks = 2.0 * math.pi * np.arange(grid) / (grid * q)
+    energies = band_energies(flux, lam, ks[:, None], ks[None, :])
     return float(np.sum(energies**n) / (q * grid * grid))
 
 
@@ -167,10 +163,3 @@ def walk_trace_table(
     if n_max % 2:
         values.append(0.0)
     return values
-
-
-def walk_trace(flux: Flux, lam: float, n: int, cap: int = WALK_LENGTH_CAP) -> float:
-    """Tr H**n per site as a Peierls-phase weighted count of closed n-walks."""
-    if n > cap:
-        raise TooLarge(f"walk length {n} exceeds cap {cap}")
-    return walk_trace_table(flux, lam, n)[n]

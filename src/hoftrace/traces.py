@@ -114,7 +114,6 @@ def _partition_sum(
     q: int,
     n: int,
     central: Callable[[int], float],
-    allow_k: bool,
 ) -> float:
     """(n/q) * sum over partition terms of weight * central(k) * prod a(2j)**l_j.
 
@@ -129,7 +128,7 @@ def _partition_sum(
     if n % 2:
         return 0.0
     total = 0.0
-    for term in enumerate_partition_terms(n // 2, q, allow_k=allow_k):
+    for term in enumerate_partition_terms(n // 2, q):
         value = float(multinomial_weight(term)) * central(term.k)
         for j, count in enumerate(term.ell, start=1):
             for _ in range(count):
@@ -139,8 +138,11 @@ def _partition_sum(
 
 
 def midband_trace(poly: ChambersPolynomial, n: int) -> float:
-    """Average of E**n over the q mid-band energies (roots of P(E) = 0)."""
-    return _partition_sum(poly.a, poly.flux.q, n, lambda k: 1.0, allow_k=False)
+    """Average of E**n over the q mid-band energies (roots of P(E) = 0).
+
+    It is the s-independent coefficient of the +/-s trace polynomial.
+    """
+    return pm_s_coefficients(poly, n)[0]
 
 
 def pm_s_trace(poly: ChambersPolynomial, n: int, s: float) -> float:
@@ -158,7 +160,7 @@ def pm_s_trace(poly: ChambersPolynomial, n: int, s: float) -> float:
             stacklevel=2,
         )
     s2 = s * s
-    return _partition_sum(poly.a, poly.flux.q, n, lambda k: s2**k, allow_k=True)
+    return _partition_sum(poly.a, poly.flux.q, n, lambda k: s2**k)
 
 
 def pm_s_coefficients(poly: ChambersPolynomial, n: int) -> list[float]:
@@ -175,7 +177,7 @@ def pm_s_coefficients(poly: ChambersPolynomial, n: int) -> list[float]:
         return [0.0]
     q = poly.flux.q
     out = [0.0] * (n // (2 * q) + 1)
-    for term in enumerate_partition_terms(n // 2, q, allow_k=True):
+    for term in enumerate_partition_terms(n // 2, q):
         value = float(multinomial_weight(term))
         for j, count in enumerate(term.ell, start=1):
             for _ in range(count):
@@ -186,23 +188,14 @@ def pm_s_coefficients(poly: ChambersPolynomial, n: int) -> list[float]:
 
 def hofstadter_trace(flux: Flux, n: int) -> float:
     """Full quantum trace Tr H**n of the isotropic (lam = 2) Hamiltonian."""
-    poly = cached_polynomial(flux, 2.0)
-    return _partition_sum(
-        poly.a,
-        flux.q,
-        n,
-        lambda k: float(math.comb(2 * k, k) ** 2),
-        allow_k=True,
-    )
+    return almost_mathieu_trace(flux, 2.0, n)
 
 
 def almost_mathieu_trace(flux: Flux, lam: float, n: int) -> float:
     """Full quantum trace of the anisotropic operator; lam = 2 recovers Hofstadter."""
     poly = cached_polynomial(flux, lam)
     lt = lambda_tilde(lam, flux.q)
-    return _partition_sum(
-        poly.a, flux.q, n, lambda k: central_factor(k, lt), allow_k=True
-    )
+    return _partition_sum(poly.a, flux.q, n, lambda k: central_factor(k, lt))
 
 
 def newton_power_sums(coeffs: Sequence[float], n_max: int) -> list[float]:

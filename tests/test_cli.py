@@ -177,6 +177,9 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "3", "--grid", "7"])  # the zone grid is not an option
+    assert exc.value.code == 1
 
 
 def test_successive_calls_do_not_share_arguments(capsys):
@@ -243,6 +246,9 @@ def test_trace_table_matches_zone(capsys, p, q, lam):
         ("series", "--q", "3", "--lambda", "1e5", "--n-max", "64"),
         ("point-trace", "--q", "3", "--lambda", "1e5", "--n", "64", "--s", "0"),
         ("coeffs", "--q", "1001", "--lambda", "3"),
+        ("dos", "--q", "2000", "--lambda", "3", "--grid", "3"),
+        ("dos", "--q", "3", "--lambda-tilde", "1e308", "--grid", "3"),
+        ("dos", "--q", "3", "--lambda-tilde", "1e300", "--grid", "3"),
     ],
 )
 def test_arithmetic_error_exits_one(capsys, argv):
@@ -258,6 +264,10 @@ def test_arithmetic_error_exits_one(capsys, argv):
         ("trace", "--q", "3", "--n", "4", "--lambda", "inf"),
         ("trace", "--q", "3", "--n-max", "4", "--lambda", "nan"),
         ("dos", "--lambda-tilde", "inf", "--grid", "3"),
+        ("point-trace", "--q", "3", "--n", "4", "--s", "nan"),
+        ("point-trace", "--q", "3", "--n", "4", "--s", "1", "inf"),
+        ("series", "--q", "3", "--kind", "pm-s", "--s", "nan", "--n-max", "4"),
+        ("series", "--q", "3", "--kind", "pm-s", "--s=-inf", "--n-max", "4"),
     ],
 )
 def test_non_finite_lambda_exits_one(capsys, argv):
@@ -265,6 +275,14 @@ def test_non_finite_lambda_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("q", ["0", "-5"])
+def test_dos_nonpositive_q_exits_one(capsys, q):
+    code, out, err = run_cli(capsys, "dos", "--q", q, "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert "--q must be positive" in err
 
 
 def test_verify_csv_writes_plain_floats(capsys):

@@ -59,15 +59,15 @@ def test_enumeration_small_cases():
         PartitionTerm(1, (0,)),
     ]
     assert list(enumerate_partition_terms(0, 5)) == [PartitionTerm(0, (0, 0))]
-    assert list(enumerate_partition_terms(3, 2, allow_k=False)) == [
+    assert [t for t in enumerate_partition_terms(3, 2) if t.k == 0] == [
         PartitionTerm(0, (3,))
     ]
 
 
-def _brute_force_terms(half_n, q, allow_k):
+def _brute_force_terms(half_n, q, wrap):
     m = q // 2
     found = []
-    for k in range(0, (half_n // q if allow_k else 0) + 1):
+    for k in range(0, (half_n // q if wrap else 0) + 1):
         for ell in itertools.product(range(half_n + 1), repeat=m):
             if q * k + sum(j * l for j, l in enumerate(ell, start=1)) == half_n:
                 found.append((k, ell))
@@ -75,11 +75,12 @@ def _brute_force_terms(half_n, q, allow_k):
 
 
 @pytest.mark.parametrize("q", range(1, 9))
-@pytest.mark.parametrize("allow_k", [True, False])
-def test_enumeration_matches_brute_force(q, allow_k):
+@pytest.mark.parametrize("wrap", [True, False])
+def test_enumeration_matches_brute_force(q, wrap):
+    # without wrap, the k = 0 terms alone: the mid-band trace sums exactly these
     for half_n in range(0, 13):
-        got = [(t.k, t.ell) for t in enumerate_partition_terms(half_n, q, allow_k)]
-        assert sorted(got) == sorted(_brute_force_terms(half_n, q, allow_k))
+        got = [(t.k, t.ell) for t in enumerate_partition_terms(half_n, q) if wrap or t.k == 0]
+        assert sorted(got) == sorted(_brute_force_terms(half_n, q, wrap))
         assert got == sorted(got)  # lexicographic emission order
 
 
@@ -95,7 +96,7 @@ def _partition_count(n, max_part):
 @pytest.mark.parametrize("q", range(1, 9))
 def test_enumeration_count_without_wrap(q):
     for half_n in range(0, 13):
-        count = sum(1 for _ in enumerate_partition_terms(half_n, q, allow_k=False))
+        count = sum(1 for t in enumerate_partition_terms(half_n, q) if t.k == 0)
         assert count == _partition_count(half_n, q // 2)
 
 

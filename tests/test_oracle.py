@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ from hoftrace.core import lambda_tilde, make_flux
 from hoftrace.oracle import (
     InsufficientGridWarning,
     RangeError,
-    TooLarge,
     band_energies,
     bz_trace,
     eigenvalues,
     point_spectrum_roots,
     secular_matrix,
-    walk_trace,
     walk_trace_table,
 )
 from hoftrace.traces import almost_mathieu_trace, cached_polynomial, pm_s_trace
@@ -39,6 +38,16 @@ def test_secular_matrix_hermitian():
             kx, ky = rng.uniform(-math.pi, math.pi, size=2)
             m = secular_matrix(make_flux(p, q), lam, kx, ky)
             assert np.array_equal(m, m.conj().T)
+
+
+def test_secular_matrix_broadcasts_momenta():
+    flux, grid = make_flux(2, 5), 4
+    ks = np.linspace(-math.pi, math.pi, grid, endpoint=False)
+    batch = secular_matrix(flux, 1.5, ks[:, None], ks[None, :])
+    assert batch.shape == (grid, grid, 5, 5)
+    for i, kx in enumerate(ks):
+        for j, ky in enumerate(ks):
+            assert np.array_equal(batch[i, j], secular_matrix(flux, 1.5, kx, ky))
 
 
 def test_chambers_identity_at_eigenvalues():
@@ -67,6 +76,21 @@ def test_bz_trace_values():
 def test_bz_trace_warns_on_coarse_grid():
     with pytest.warns(InsufficientGridWarning):
         bz_trace(make_flux(1, 2), 2.0, 8, 4)
+    for p, q, n in ((1, 3, 12), (3, 8, 64), (1, 31, 62)):
+        with pytest.warns(InsufficientGridWarning):
+            bz_trace(make_flux(p, q), 2.0, n, n // q)
+
+
+@pytest.mark.parametrize("p, q, lam", ZONE_CASES)
+def test_bz_trace_exact_on_reduced_zone(p, q, lam):
+    # G = n//q + 1 band angles per axis average the trace exactly; at q = 1001
+    # each order costs a 1001 x 1001 eigensolve, so only n = 0, 16, 32, 48, 64 run
+    flux = make_flux(p, q)
+    walks = walk_trace_table(flux, lam, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", InsufficientGridWarning)
+        for n in range(0, 65, 2 if q < 1000 else 16):
+            assert abs(bz_trace(flux, lam, n, n // q + 1) - walks[n]) <= 1e-12 * walks[n]
 
 
 def test_bz_matches_formula():
@@ -108,11 +132,11 @@ def test_point_spectrum_roots_power_sums_match_pm_s():
 
 def test_walk_trace_values():
     for p, q in ((0, 1), (1, 3), (3, 7)):
-        assert walk_trace(make_flux(p, q), 2.0, 2) == pytest.approx(4.0, abs=1e-12)
-    assert walk_trace(make_flux(1, 3), 2.0, 4) == pytest.approx(24.0, abs=1e-10)
-    assert walk_trace(make_flux(1, 2), 2.0, 4) == pytest.approx(20.0, abs=1e-10)
-    assert walk_trace(make_flux(0, 1), 2.0, 6) == pytest.approx(400.0, abs=1e-9)
-    assert walk_trace(make_flux(1, 3), 2.0, 5) == 0.0
+        assert walk_trace_table(make_flux(p, q), 2.0, 2)[2] == pytest.approx(4.0, abs=1e-12)
+    assert walk_trace_table(make_flux(1, 3), 2.0, 4)[4] == pytest.approx(24.0, abs=1e-10)
+    assert walk_trace_table(make_flux(1, 2), 2.0, 4)[4] == pytest.approx(20.0, abs=1e-10)
+    assert walk_trace_table(make_flux(0, 1), 2.0, 6)[6] == pytest.approx(400.0, abs=1e-9)
+    assert walk_trace_table(make_flux(1, 3), 2.0, 5)[5] == 0.0
 
 
 def test_walk_trace_area_weighting():
@@ -120,12 +144,12 @@ def test_walk_trace_area_weighting():
     for p, q in ((1, 5), (2, 7), (1, 8)):
         flux = make_flux(p, q)
         expected = 28.0 + 8.0 * math.cos(flux.gamma)
-        assert walk_trace(flux, 2.0, 4) == pytest.approx(expected, abs=1e-10)
+        assert walk_trace_table(flux, 2.0, 4)[4] == pytest.approx(expected, abs=1e-10)
 
 
 def test_walk_trace_coupling_weighting():
     for lam in (0.5, 1.0, 3.0):
-        value = walk_trace(make_flux(1, 3), lam, 2)
+        value = walk_trace_table(make_flux(1, 3), lam, 2)[2]
         assert value == pytest.approx(2.0 + 2.0 * (lam / 2.0) ** 2, abs=1e-12)
 
 
@@ -144,12 +168,6 @@ def test_walk_trace_matches_formula():
             table = walk_trace_table(flux, lam, 10)
             for n in (2, 6, 10):
                 assert rel_err(table[n], almost_mathieu_trace(flux, lam, n)) < 1e-8
-
-
-def test_walk_trace_cap():
-    with pytest.raises(TooLarge):
-        walk_trace(make_flux(1, 3), 2.0, 21)
-    walk_trace(make_flux(1, 3), 2.0, 21, cap=24)
 
 
 @pytest.mark.parametrize("p, q, lam", ZONE_CASES)
