@@ -7,12 +7,18 @@ is a polynomial of degree q in the energy,
 
 with a(0) = -1 by convention.  The band structure is P(E) = 2*(cos(q*kx) +
 (lam/2)**q * cos(q*ky)), so everything spectral reduces to the coefficient
-table a(2j).  Two independent constructions are implemented:
+table a(2j).  Two constructions are implemented:
 
 * a determinant recursion on the tridiagonalized Bloch matrix, run as
   polynomial arithmetic in E, and
-* nested sine-product sums evaluated with a prefix-sum dynamic program
-  (O(q^2) per coefficient instead of the naive O(q^j)).
+* the paper's nested sine-product sums, evaluated level by level with
+  prefix sums shared by every coefficient (O(q²) for the whole table
+  instead of the naive O(q^j) per coefficient).
+
+The two derivations are independent, but the prefix-sum nest and the
+recursion perform the same floating-point operations, so their tables are
+bit-identical: comparing them checks the nested formula's index ranges and
+signs, not rounding error.
 
 For lam != 2 the off-diagonal building blocks are no longer complex
 conjugates of each other, but the coefficients stay real; the imaginary
@@ -23,7 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import Flux, InvalidCoupling
 
@@ -127,43 +135,34 @@ def chambers_recursive(flux: Flux, lam: float) -> ChambersPolynomial:
     return ChambersPolynomial(flux, lam, a)
 
 
-def _nested_coefficient(q: int, beta: list[complex], j: int) -> complex:
-    """One coefficient a(2j) from the closed nested-sum formula.
-
-    The sum runs over q-2j >= k_1 >= k_2 >= ... >= k_j >= 0 of the product
-    of building blocks beta(k_i + 2*(j-i)).  Accumulating prefix sums from
-    the innermost index outward collapses the nest to O(q) work per level.
-    Empty ranges (q < 2j) yield zero.  beta holds the block products.
-    """
-    if j == 0:
-        return -1.0 + 0j
-    top = q - 2 * j
-    if top < 0:
-        return 0j
-    level = [beta[m] for m in range(top + 1)]
-    for i in range(j - 1, 0, -1):
-        offset = 2 * (j - i)
-        prefix = 0j
-        nxt = []
-        for m in range(top + 1):
-            prefix += level[m]
-            nxt.append(beta[m + offset] * prefix)
-        level = nxt
-    total = 0j
-    for value in level:
-        total += value
-    sign = -1.0 if j % 2 == 0 else 1.0  # (-1)**(j+1)
-    return sign * total
-
-
 def chambers_nested(flux: Flux, lam: float) -> ChambersPolynomial:
-    """Coefficients from the nested-sum closed form (independent of the recursion)."""
+    """Coefficients from the nested-sum closed form (generalized Kreft coefficients).
+
+    a(2j) = (-1)**(j+1) times the sum over q-2j >= k_1 >= ... >= k_j >= 0 of
+    prod_i beta(k_i + 2*(j-i)), with beta the block products.  Substituting
+    M_i = k_i + 2*(j-i) turns the nest into a sum over q-2 >= M_1 >= ... >=
+    M_j >= 0 with gaps M_i - M_(i+1) >= 2, whose ranges no longer depend on
+    j.  So one family of level sums
+        S_d(M) = S_d(M-1) + beta(M) * S_(d-1)(M-2)
+    (the d-fold nest over M_1 <= M) serves the whole table, with
+    a(2j) = (-1)**(j+1) * S_j(q-2): one prefix-sum pass per level.
+
+    This is the continuant recursion of chambers_recursive written as prefix
+    sums, and it performs the same floating-point operations, so the two
+    tables agree to the bit.  Comparing them checks the formula's index
+    ranges and signs, not rounding error.
+    """
+    q = flux.q
     beta = _block_products(flux, lam)
-    a = tuple(
-        _real_checked(_nested_coefficient(flux.q, beta, j))
-        for j in range(flux.q // 2 + 1)
-    )
-    return ChambersPolynomial(flux, lam, a)
+    a = [-1.0]
+    terms = beta  # level 1: beta(M), M = 0..q-2
+    for j in range(1, q // 2 + 1):
+        sums = list(accumulate(terms, initial=0j))  # sums[i+1] = S_j(2(j-1) + i)
+        sign = -1.0 if j % 2 == 0 else 1.0  # (-1)**(j+1)
+        a.append(_real_checked(sign * sums[-1]))
+        # level j+1: beta(M) * S_j(M-2), M = 2j..q-2
+        terms = list(map(operator.mul, beta[2 * j:], sums[1:]))
+    return ChambersPolynomial(flux, lam, tuple(a))
 
 
 def eval_energy_polynomial(poly: ChambersPolynomial, energy: float) -> float:

@@ -183,10 +183,11 @@ def cmd_series(args: argparse.Namespace) -> int:
     kind = TraceKind(args.kind)
     if kind is TraceKind.PLUS_MINUS_S and args.s is None:
         raise ValueError("--kind pm-s needs --s")
-    coeffs = traces.trace_series(flux, args.lam, kind, args.s, args.n_max)
+    s = args.s if kind is TraceKind.PLUS_MINUS_S else None  # the other streams ignore --s
+    coeffs = traces.trace_series(flux, args.lam, kind, s, args.n_max)
     _check_float_range(coeffs, "series coefficient of order")
     records = [
-        TraceRecord(flux, args.lam, n, args.s, kind, value, TraceMethod.SERIES)
+        TraceRecord(flux, args.lam, n, s, kind, value, TraceMethod.SERIES)
         for n, value in enumerate(coeffs)
     ]
     rows = _record_rows(records)
@@ -460,7 +461,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("series", help="generating-function coefficient stream")
     common(p)
     p.add_argument("--kind", choices=[k.value for k in TraceKind], default="full")
-    p.add_argument("--s", type=float, default=None)
+    p.add_argument("--s", type=float, default=None,
+                   help="band parameter; read by --kind pm-s only")
     p.add_argument("--n-max", type=int, required=True)
     p.set_defaults(func=cmd_series)
 

@@ -272,7 +272,7 @@ def trace_series(
     zbp = [k * b[k] for k in range(n_max + 1)]  # z * b'(z)
     b_inv = _series_inv(b, n_max)
     base = _series_mul(zbp, b_inv, n_max)
-    base = [-c / q for c in base]
+    base = [-c / q if c else 0.0 for c in base]  # odd orders +0.0, not -0.0
     base[0] += 1.0
 
     if kind is TraceKind.MID_BAND:

@@ -5,12 +5,10 @@ import pytest
 from helpers import proper_fluxes, rel_err
 import hoftrace.chambers
 from hoftrace.chambers import (
-    _block_products,
     building_block,
     chambers_nested,
     chambers_recursive,
     eval_energy_polynomial,
-    _nested_coefficient,
 )
 from hoftrace.core import Flux, make_flux
 
@@ -101,9 +99,29 @@ def test_leading_coefficient_is_exactly_minus_one():
 
 def test_coefficient_vanishes_beyond_degree():
     for p, q in ((1, 4), (1, 5), (2, 7)):
+        poly = chambers_nested(make_flux(p, q), 2.0)
+        assert len(poly.a) == q // 2 + 1
+        b = poly.b_coefficients()
+        assert len(b) == 2 * (q // 2) + 1 and b[-1] != 0.0
+
+
+@pytest.mark.parametrize("lam", (2.0, 0.7, 3.0))
+def test_nested_equals_recursive_exactly(lam):
+    # the prefix-sum nest performs the recursion's floating-point operations
+    for p, q in [(0, 1)] + proper_fluxes(60):
         flux = make_flux(p, q)
-        beta = _block_products(flux, 2.0)
-        assert _nested_coefficient(q, beta, q // 2 + 1) == 0j
+        assert chambers_nested(flux, lam).a == chambers_recursive(flux, lam).a
+
+
+@pytest.mark.parametrize("p, q, lam", ((7, 401, 0.7), (100, 401, 2.0), (3, 257, 3.0)))
+def test_nested_equals_recursive_exactly_at_large_q(p, q, lam):
+    flux = make_flux(p, q)
+    assert chambers_nested(flux, lam).a == chambers_recursive(flux, lam).a
+
+
+def test_nested_raises_on_non_real_coefficient():
+    with pytest.raises(ArithmeticError, match=r"imaginary part 3\.7311572170258843e\+93$"):
+        chambers_nested(make_flux(100, 401), 3.0)
 
 
 @pytest.mark.parametrize("p, q", ((1, 1), (1, 2), (3, 8), (7, 101)))

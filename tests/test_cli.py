@@ -77,6 +77,19 @@ def test_series_matches_library(capsys):
     assert values == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("kind", ("full", "mid-band", "pm-s"))
+def test_series_labels_s_only_on_pm_s_records(capsys, kind):
+    common = ("series", "--q", "3", "--kind", kind, "--s", "5", "--n-max", "2")
+    code, out, _ = run_cli(capsys, *common)
+    assert code == 0
+    expected = 5.0 if kind == "pm-s" else None
+    assert [r["s"] for r in json.loads(out)["records"]] == [expected] * 3
+    code, out, _ = run_cli(capsys, *common, "--format", "csv")
+    assert code == 0
+    expected = "5.0" if kind == "pm-s" else ""
+    assert [row["s"] for row in csv.DictReader(io.StringIO(out))] == [expected] * 3
+
+
 def test_dos_document(capsys):
     code, out, _ = run_cli(capsys, "dos", "--q", "2", "--grid", "7")
     assert code == 0

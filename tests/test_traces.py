@@ -190,6 +190,15 @@ def test_series_matches_direct_traces(lam):
             assert rel_err(pm[n], direct) < 1e-10
 
 
+@pytest.mark.parametrize("kind", tuple(TraceKind))
+def test_series_odd_orders_are_positive_zero(kind):
+    for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8)):
+        for lam in (2.0, 0.7):
+            stream = trace_series(make_flux(p, q), lam, kind, 1.5, 24)
+            for n in range(1, 25, 2):
+                assert stream[n] == 0.0 and math.copysign(1.0, stream[n]) == 1.0
+
+
 def test_series_needs_s_for_point_stream():
     with pytest.raises(ValueError):
         trace_series(make_flux(1, 3), 2.0, TraceKind.PLUS_MINUS_S, None, 4)
