@@ -10,15 +10,12 @@ momentum-quadrature and lattice-walk oracles.
 """
 
 from .chambers import (
-    BuildingBlock,
     ChambersPolynomial,
-    building_block,
     chambers_nested,
     chambers_recursive,
     eval_energy_polynomial,
 )
 from .core import (
-    Coupling,
     DegenerateTerm,
     Flux,
     InvalidCoupling,
@@ -65,7 +62,6 @@ _ORACLE_NAMES = frozenset(
         "RangeError",
         "band_energies",
         "bz_trace",
-        "eigenvalues",
         "point_spectrum_roots",
         "secular_matrix",
         "walk_trace_table",
@@ -82,9 +78,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BuildingBlock",
     "ChambersPolynomial",
-    "Coupling",
     "DegeneratePolynomial",
     "DegenerateTerm",
     "DensityProfile",
@@ -101,7 +95,6 @@ __all__ = [
     "TraceRecord",
     "almost_mathieu_trace",
     "band_energies",
-    "building_block",
     "bz_trace",
     "chambers_nested",
     "chambers_recursive",
@@ -109,7 +102,6 @@ __all__ = [
     "dos_free",
     "dos_moment",
     "dos_moment_exact",
-    "eigenvalues",
     "elliptic_k",
     "enumerate_partition_terms",
     "eval_energy_polynomial",

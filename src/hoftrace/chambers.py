@@ -40,39 +40,6 @@ _IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class BuildingBlock:
-    """Off-diagonal pair (alpha, alpha_bar) of the tridiagonal Bloch matrix.
-
-    Only the product alpha*alpha_bar enters any implemented formula, and the
-    product is independent of the transverse momentum, so the phase factor
-    is fixed to one.  At lam = 2 the pair is complex conjugate and the
-    product is 4*sin(pi*(k+1)*p/q)**2.
-    """
-
-    k: int
-    alpha: complex
-    alpha_bar: complex
-
-    @property
-    def product(self) -> complex:
-        return self.alpha * self.alpha_bar
-
-
-def building_block(flux: Flux, lam: float, k: int) -> BuildingBlock:
-    if not 0 <= k <= flux.q - 1:
-        raise IndexError(f"block index {k} outside 0..{flux.q - 1}")
-    if not lam > 0:
-        raise InvalidCoupling(f"coupling must be positive, got {lam}")
-    half = lam / 2.0
-    theta = 2.0 * math.pi * (k + 1) * flux.p / flux.q
-    w = cmath.exp(1j * theta)
-    w_conj = cmath.exp(-1j * theta)
-    alpha = half * (1.0 - w)
-    alpha_bar = half * (1.0 - (2.0 / lam) ** 2 * w_conj)
-    return BuildingBlock(k, alpha, alpha_bar)
-
-
-@dataclass(frozen=True)
 class ChambersPolynomial:
     """Coefficient table a(2j), j = 0..floor(q/2), for one (flux, lam)."""
 
@@ -105,8 +72,27 @@ def _real_checked(z: complex) -> float:
 
 
 def _block_products(flux: Flux, lam: float) -> list[complex]:
-    # products for indices 0..q-2; index q-1 vanishes identically and is unused
-    return [building_block(flux, lam, k).product for k in range(flux.q - 1)]
+    """Products alpha*alpha_bar of the off-diagonal pairs of the Bloch matrix.
+
+    Block k of the tridiagonal form has w = exp(2*pi*i*(k+1)*p/q),
+    alpha = (lam/2)*(1 - w) and alpha_bar = (lam/2)*(1 - (2/lam)**2 * conj(w)).
+    Only the product enters any formula, and it does not depend on the
+    transverse momentum, so the phase factor is fixed to one.  At lam = 2
+    the pair is complex conjugate and the product is 4*sin(pi*(k+1)*p/q)**2.
+    Indices run over 0..q-2: block q-1 has w = 1, so it vanishes
+    identically and is unused.
+    """
+    if not lam > 0:
+        raise InvalidCoupling(f"coupling must be positive, got {lam}")
+    half = lam / 2.0
+    ratio = (2.0 / lam) ** 2
+    products = []
+    for k in range(flux.q - 1):
+        theta = 2.0 * math.pi * (k + 1) * flux.p / flux.q
+        alpha = half * (1.0 - cmath.exp(1j * theta))
+        alpha_bar = half * (1.0 - ratio * cmath.exp(-1j * theta))
+        products.append(alpha * alpha_bar)
+    return products
 
 
 def chambers_recursive(flux: Flux, lam: float) -> ChambersPolynomial:

@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from typing import Optional
 
 from . import dos as dos_mod
@@ -145,7 +144,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_point_trace(args: argparse.Namespace) -> int:
     flux = _flux_from_args(args)
     _check_order(args.n, "--n")
-    poly = traces.cached_polynomial(flux, args.lam)
     bound = 2.0 * (1.0 + lambda_tilde(args.lam, flux.q))
     records = []
     for s in args.s:
@@ -154,22 +152,14 @@ def cmd_point_trace(args: argparse.Namespace) -> int:
                 f"warning: |s| = {abs(s)} exceeds the spectral range {bound}",
                 file=sys.stderr,
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", traces.SpectralRangeWarning)
-            value = traces.pm_s_trace(poly, args.n, s)
+        value = traces.trace_series(flux, args.lam, TraceKind.PLUS_MINUS_S, s, args.n)[args.n]
         if not math.isfinite(value):
             raise OverflowError(
                 f"the +/-s trace of order {args.n} at s = {s} exceeds the float range"
             )
         records.append(
             TraceRecord(
-                flux,
-                args.lam,
-                args.n,
-                s,
-                TraceKind.PLUS_MINUS_S,
-                value,
-                TraceMethod.PARTITION_SUM,
+                flux, args.lam, args.n, s, TraceKind.PLUS_MINUS_S, value, TraceMethod.SERIES
             )
         )
     rows = _record_rows(records)

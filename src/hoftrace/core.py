@@ -78,20 +78,6 @@ def make_flux(p: int, q: int) -> Flux:
     return Flux(p // g, q // g)
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Anisotropy ratio of vertical to horizontal hopping amplitudes."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise InvalidCoupling(f"coupling must be positive, got {self.lam}")
-
-    def tilde(self, q: int) -> float:
-        return lambda_tilde(self.lam, q)
-
-
 def lambda_tilde(lam: float, q: int) -> float:
     """(lam/2)**q accumulated by q left-to-right multiplications.
 

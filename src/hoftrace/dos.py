@@ -160,8 +160,6 @@ def dos_moment(profile: DensityProfile, k: int) -> float:
     return sum(w * s ** (2 * k) for s, w in zip(abscissas, weights))
 
 
-# minimum tanh-sinh node count per smooth piece for the trace integral
-MIN_QUADRATURE_NODES = 32
 # default node count: dos_moment then meets the exact moments k < 4 to
 # 1.5e-10 at every lam_tilde = (lam/2)**q, lam in {0.7, 2, 3}, q <= 13
 QUADRATURE_NODES = 160
@@ -209,9 +207,7 @@ def _density_table(
     return tuple(abscissas), tuple(weights)
 
 
-def integrate_point_traces(
-    flux: Flux, lam: float, n: int, quadrature_nodes: int = QUADRATURE_NODES
-) -> float:
+def integrate_point_traces(flux: Flux, lam: float, n: int) -> float:
     """Recover the full quantum trace by integrating +/-s traces against the density.
 
     The trace factor is an even polynomial in s, evaluated from its
@@ -219,16 +215,12 @@ def integrate_point_traces(
     factor is constant in s and the integral reduces to normalization times
     the mid-band trace.
     """
-    if quadrature_nodes < MIN_QUADRATURE_NODES:
-        raise ValueError(
-            f"need at least {MIN_QUADRATURE_NODES} nodes, got {quadrature_nodes}"
-        )
     if n % 2:
         return 0.0
     lt = lambda_tilde(lam, flux.q)
     poly = cached_polynomial(flux, lam)
     coeffs = pm_s_coefficients(poly, n)
-    abscissas, weights = _density_table(lt, quadrature_nodes)
+    abscissas, weights = _density_table(lt, QUADRATURE_NODES)
     total = 0.0
     for s, w in zip(abscissas, weights):
         s2 = s * s

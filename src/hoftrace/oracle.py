@@ -60,16 +60,11 @@ def secular_matrix(
     return m
 
 
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix (or a stack of them), ascending."""
-    return np.linalg.eigvalsh(matrix)
-
-
 def band_energies(
     flux: Flux, lam: float, kx: float | np.ndarray, ky: float | np.ndarray
 ) -> np.ndarray:
     """The q band energies at each momentum, ascending along the last axis."""
-    return eigenvalues(secular_matrix(flux, lam, kx, ky))
+    return np.linalg.eigvalsh(secular_matrix(flux, lam, kx, ky))
 
 
 def bz_trace(flux: Flux, lam: float, n: int, grid: int) -> float:

@@ -52,10 +52,7 @@ class TraceKind(str, Enum):
 
 
 class TraceMethod(str, Enum):
-    PARTITION_SUM = "partition-sum"
     SERIES = "series"
-    NEWTON = "newton-power-sum"
-    ORACLE = "oracle"
     WALK = "half-walk"
 
 

@@ -1,16 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import proper_fluxes, rel_err
 import hoftrace.chambers
 from hoftrace.chambers import (
-    building_block,
+    _block_products,
     chambers_nested,
     chambers_recursive,
     eval_energy_polynomial,
 )
-from hoftrace.core import Flux, make_flux
+from hoftrace.core import Flux, InvalidCoupling, make_flux
 
 LAMBDA_SWEEP = (0.5, 1.0, 2.0, 3.0)
 
@@ -34,23 +35,28 @@ def test_zero_flux_polynomial():
 
 
 def test_building_block_products():
-    assert building_block(make_flux(1, 2), 2.0, 0).product == pytest.approx(4.0)
-    assert abs(building_block(make_flux(1, 3), 2.0, 2).product) < 1e-12
+    assert _block_products(make_flux(1, 2), 2.0) == pytest.approx([4.0])
+    assert _block_products(Flux(0, 1), 2.0) == []
     for p, q in ((1, 3), (2, 5)):
         flux = make_flux(p, q)
-        assert abs(building_block(flux, 1.5, q - 1).alpha) < 1e-12
-        for k in range(q - 1):
-            block = building_block(flux, 2.0, k)
-            assert block.alpha_bar == pytest.approx(block.alpha.conjugate())
+        products = _block_products(flux, 2.0)
+        assert len(products) == q - 1
+        for k, product in enumerate(products):
             expected = 4.0 * math.sin(math.pi * (k + 1) * p / q) ** 2
-            assert abs(block.product - expected) < 1e-12
+            assert abs(product - expected) < 1e-12
+        # the unreduced pair 2p/2q runs the same phases past index q-2, so its
+        # entry q-1 is the block that p/q leaves out: it vanishes
+        doubled = _block_products(SimpleNamespace(p=2 * p, q=2 * q), 1.5)
+        assert abs(doubled[q - 1]) < 1e-12
+        assert doubled[:q - 1] == _block_products(flux, 1.5)
 
 
-def test_building_block_index_range():
-    with pytest.raises(IndexError):
-        building_block(make_flux(1, 3), 2.0, 3)
-    with pytest.raises(IndexError):
-        building_block(make_flux(1, 3), 2.0, -1)
+@pytest.mark.parametrize("lam", (0.0, -2.0, float("nan")))
+def test_block_products_reject_invalid_coupling(lam):
+    # checked before the loop, so q = 1 (no blocks) rejects it too
+    for flux in (Flux(0, 1), make_flux(1, 3)):
+        with pytest.raises(InvalidCoupling):
+            _block_products(flux, lam)
 
 
 @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
@@ -128,13 +134,14 @@ def test_nested_raises_on_non_real_coefficient():
 def test_nested_builds_each_block_once(monkeypatch, p, q):
     built = []
 
-    def counting_block(flux, lam, k):
-        built.append(k)
-        return building_block(flux, lam, k)
+    def counting_products(flux, lam):
+        products = _block_products(flux, lam)
+        built.append(len(products))
+        return products
 
-    monkeypatch.setattr(hoftrace.chambers, "building_block", counting_block)
+    monkeypatch.setattr(hoftrace.chambers, "_block_products", counting_products)
     chambers_nested(make_flux(p, q), 0.7)
-    assert sorted(built) == list(range(q - 1))
+    assert built == [q - 1]
 
 
 def test_eval_energy_polynomial():

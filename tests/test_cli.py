@@ -7,13 +7,15 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import hoftrace
-from helpers import ZONE_CASES, zone_traces
+from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
 from hoftrace.cli import main
+from hoftrace.core import lambda_tilde, make_flux
+from hoftrace.oracle import point_spectrum_roots
 from hoftrace.traces import TraceKind, trace_series
-from hoftrace.core import make_flux
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,45 @@ def test_point_trace_values_and_warning(capsys):
     records = json.loads(out)["records"]
     assert [r["value"] for r in records[:2]] == [16.0, 17.0]
     assert "spectral range" in err
+
+
+def test_point_trace_matches_series_record(capsys):
+    # point-trace prints record n of the pm-s stream, bit for bit
+    for p, q, lam, n in ((1, 2, 2.0, 4), (3, 8, 2.0, 64), (2, 7, 0.7, 31), (5, 13, 3.0, 40)):
+        flux_args = ("--p", str(p), "--q", str(q), "--lambda", repr(lam))
+        for s in (0.0, 1.0, 2.5):
+            code, out, _ = run_cli(capsys, "point-trace", *flux_args, "--n", str(n), "--s", repr(s))
+            assert code == 0
+            (record,) = json.loads(out)["records"]
+            code, out, _ = run_cli(
+                capsys, "series", *flux_args, "--kind", "pm-s", "--s", repr(s), "--n-max", str(n)
+            )
+            assert code == 0
+            expected = json.loads(out)["records"][n]
+            assert record == expected
+            assert record["method"] == "series"
+
+
+@pytest.mark.parametrize("lam", (2.0, 0.7, 3.0))
+def test_point_trace_matches_point_spectrum_roots(capsys, lam):
+    # the mean of E**n over the 2q Bloch roots of P(E) = +s and P(E) = -s
+    for p, q in all_fluxes(13):
+        bound = 2.0 * (1.0 + lambda_tilde(lam, q))
+        ss = (0.0, 1.0, bound)
+        flux = make_flux(p, q)
+        roots = [
+            np.concatenate([point_spectrum_roots(flux, lam, s, sign) for sign in (1, -1)])
+            for s in ss
+        ]
+        for n in range(0, 65, 2):
+            code, out, _ = run_cli(
+                capsys, "point-trace", "--p", str(p), "--q", str(q), "--lambda", repr(lam),
+                "--n", str(n), "--s", *map(repr, ss),
+            )
+            assert code == 0
+            for record, energies in zip(json.loads(out)["records"], roots):
+                expected = float(np.mean(energies**n))
+                assert rel_err(record["value"], expected) < 1e-9, (p, q, n, record["s"])
 
 
 def test_series_matches_library(capsys):
@@ -269,6 +310,24 @@ def test_arithmetic_error_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("hoftrace: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--q", "1", "--lambda", "-2"),
+        ("series", "--q", "1", "--lambda", "-1", "--kind", "mid-band", "--n-max", "2"),
+        ("series", "--q", "1", "--lambda", "0", "--kind", "pm-s", "--s", "0", "--n-max", "2"),
+        ("coeffs", "--q", "3", "--lambda", "0", "--method", "nested"),
+        ("point-trace", "--q", "1", "--lambda", "-1", "--n", "2", "--s", "0"),
+    ],
+)
+def test_invalid_coupling_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hoftrace: error: coupling must be positive")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from hoftrace.core import (
-    Coupling,
     DegenerateTerm,
     Flux,
     InvalidCoupling,
@@ -45,9 +44,9 @@ def test_flux_invariants_enforced():
 def test_coupling_and_lambda_tilde():
     assert lambda_tilde(2.0, 7) == 1.0
     assert lambda_tilde(1.0, 3) == 0.125
-    assert Coupling(3.0).tilde(2) == 1.5 * 1.5
+    assert lambda_tilde(3.0, 2) == 1.5 * 1.5
     with pytest.raises(InvalidCoupling):
-        Coupling(0.0)
+        lambda_tilde(0.0, 2)
     with pytest.raises(InvalidCoupling):
         lambda_tilde(-1.0, 2)
 

@@ -239,11 +239,6 @@ def test_integrate_point_traces_values():
     assert rel_err(value, mid) < 1e-9
 
 
-def test_integrate_point_traces_node_floor():
-    with pytest.raises(ValueError):
-        integrate_point_traces(make_flux(1, 3), 2.0, 4, quadrature_nodes=8)
-
-
 @pytest.mark.parametrize("lam", (1.0, 2.0, 3.0))
 def test_point_trace_closure_both_paths(lam):
     for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (1, 6)):
