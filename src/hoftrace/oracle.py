@@ -12,8 +12,13 @@ exactly once G >= n//q + 1.
 
 The walk route is the half-walk moment engine behind ``hoftrace trace``:
 Tr H**(2t) per site is the squared norm of H**t applied to a site state, a
-sum of squares in which nothing cancels, and flux enters only as a phase,
-so its cost does not depend on q.
+sum of squares in which nothing cancels.  Flux enters only as the Peierls
+phase of horizontal hops, so a Fourier transform along x turns the lattice
+walk into one real 1-D almost Mathieu walk per momentum k, and the norm is
+the mean over k of those walks' norms.  The mean is exact on M >= 2t+1
+equally spaced momenta, where no t-step walk wraps around the ring.  The
+state is a real (height, momentum) array in y-major order, so each step
+updates one contiguous block, and the cost does not depend on q.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ import warnings
 import numpy as np
 
 from .core import Flux, InvalidCoupling, lambda_tilde
+
+
+# momenta on the walk's ring: 2t+1 = 65 suffices for every n <= 64, and one
+# grid for all of them makes each table entry independent of n_max
+MIN_MOMENTA = 65
 
 
 class RangeError(ValueError):
@@ -121,40 +131,46 @@ def walk_trace_table(
     The per-site trace is the return amplitude <d0, H**n d0>.  For n = 2t
     it equals ||H**t d0||**2, a sum of squares, so it is positive and free
     of cancellation; odd orders vanish (E -> -E) and are exactly 0.0.
-    Peierls phases in Landau gauge: a horizontal hop at height y carries
-    phase exp(+/- i*gamma*y); vertical hops carry amplitude lam/2 and no
-    phase.  H**t d0 lives on the (2t+1)**2 square around the origin, so
-    t = n_max//2 steps run on a patch of that size, and each norm is taken
-    over the square alone (a table entry does not depend on n_max).
-    y_origin rebases the gauge; the trace must not depend on it.  Raises
-    OverflowError when a moment exceeds the float range.
+    In Landau gauge a horizontal hop at height y carries the phase
+    exp(+/- i*gamma*y) and a vertical hop the amplitude lam/2, so a Fourier
+    transform along x turns H into the real almost Mathieu operators
+    A_k = 2cos(gamma*y - k) + (lam/2)(shift up + shift down), one per
+    momentum k.  H**t d0 spans 2t+1 columns, so on a ring of M >= 2t+1
+    columns, with momenta k = 2*pi*j/M, no walk wraps and ||H**t d0||**2 is
+    exactly the mean over k of ||A_k**t e0||**2.  M = max(2*(n_max//2) + 1,
+    65) keeps one grid for every n_max <= 64, so a table entry does not
+    depend on n_max.  The state is a real (height, momentum) array in
+    y-major order, so every step updates one contiguous block of its 2t+1
+    active heights.  y_origin rebases the gauge; the trace must not depend
+    on it.  Raises OverflowError when a moment exceeds the float range.
     """
     if not lam > 0:
         raise InvalidCoupling(f"coupling must be positive, got {lam}")
     if n_max < 0:
         raise ValueError(f"walk length must be nonnegative, got {n_max}")
     half_steps = n_max // 2
-    size = 2 * half_steps + 1
-    heights = np.arange(size) - half_steps + y_origin
-    phase = np.exp(1j * flux.gamma * heights)  # indexed by y, broadcast over x
+    ring = max(2 * half_steps + 1, MIN_MOMENTA)
+    centre = half_steps + 1  # one zero row pads each end of the y axis
+    heights = np.arange(2 * half_steps + 3) - centre + y_origin
+    momenta = 2.0 * math.pi * np.arange(ring) / ring
+    potential = 2.0 * np.cos(flux.gamma * heights[:, None] - momenta[None, :])
+    cur = np.zeros_like(potential)
+    nxt = np.zeros_like(potential)
+    cur[centre] = 1.0
     half = lam / 2.0
-    psi = np.zeros((size, size), dtype=complex)
-    psi[half_steps, half_steps] = 1.0
     values = [1.0]
-    for t in range(1, half_steps + 1):
-        nxt = np.zeros_like(psi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt[1:, :] += phase[None, :] * psi[:-1, :]
-            nxt[:-1, :] += np.conj(phase)[None, :] * psi[1:, :]
-            nxt[:, 1:] += half * psi[:, :-1]
-            nxt[:, :-1] += half * psi[:, 1:]
-            psi = nxt
-            lo, hi = half_steps - t, half_steps + t + 1
-            square = psi[lo:hi, lo:hi]
-            norm = float(np.vdot(square, square).real)
-        if not math.isfinite(norm):
-            raise OverflowError(f"Tr H^{2 * t} exceeds the float range at lambda {lam}")
-        values += [0.0, norm]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, half_steps + 1):
+            lo, hi = centre - t, centre + t + 1
+            out = nxt[lo:hi]
+            np.add(cur[lo - 1:hi - 1], cur[lo + 1:hi + 1], out=out)
+            out *= half
+            out += potential[lo:hi] * cur[lo:hi]
+            norm = float(np.vdot(out, out)) / ring
+            if not math.isfinite(norm):
+                raise OverflowError(f"Tr H^{2 * t} exceeds the float range at lambda {lam}")
+            values += [0.0, norm]
+            cur, nxt = nxt, cur
     if n_max % 2:
         values.append(0.0)
     return values

@@ -243,6 +243,31 @@ def _series_inv(x: list[float], n_top: int) -> list[float]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _stream_parts(
+    p: int, q: int, lam: float, n_max: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The s-free parts of every stream, built once per (flux, lam, n_max).
+
+    They are the log-derivative prefactor 1 - z*b'(z)/(q*b(z)) and
+    u = (z**q / b(z))**2, which is even in z with lowest order 2q.
+    """
+    poly = cached_polynomial(Flux(p, q), lam)
+    b = [0.0] * (n_max + 1)
+    for j, cj in enumerate(poly.b_coefficients()):
+        if j <= n_max:
+            b[j] = cj
+    zbp = [k * b[k] for k in range(n_max + 1)]  # z * b'(z)
+    b_inv = _series_inv(b, n_max)
+    base = _series_mul(zbp, b_inv, n_max)
+    base = [-c / q if c else 0.0 for c in base]  # odd orders +0.0, not -0.0
+    base[0] += 1.0
+    zq_over_b = [0.0] * (n_max + 1)
+    for i in range(n_max + 1 - q):
+        zq_over_b[i + q] = b_inv[i]
+    return tuple(base), tuple(_series_mul(zq_over_b, zq_over_b, n_max))
+
+
 def trace_series(
     flux: Flux,
     lam: float,
@@ -257,36 +282,28 @@ def trace_series(
     1 - z*b'(z) / (q*b(z)); the +/-s stream multiplies it by the geometric
     resummation 1 / (1 - s**2 (z**q/b)**2) and the full stream by the
     moment-weighted series sum_k central_factor(k) * (z**q/b)**(2k).
+    The s-free parts are memoized, so a stream at a second s, or of a
+    second kind, reuses them.
     """
     if n_max < 0:
         raise ValueError(f"series order must be nonnegative, got {n_max}")
     q = flux.q
-    poly = cached_polynomial(flux, lam)
-    b = [0.0] * (n_max + 1)
-    for j, cj in enumerate(poly.b_coefficients()):
-        if j <= n_max:
-            b[j] = cj
-    zbp = [k * b[k] for k in range(n_max + 1)]  # z * b'(z)
-    b_inv = _series_inv(b, n_max)
-    base = _series_mul(zbp, b_inv, n_max)
-    base = [-c / q if c else 0.0 for c in base]  # odd orders +0.0, not -0.0
-    base[0] += 1.0
-
+    base, u = _stream_parts(flux.p, q, lam, n_max)
     if kind is TraceKind.MID_BAND:
-        return base
-
-    # u = (z**q / b(z))**2, lowest order 2q
-    zq_over_b = [0.0] * (n_max + 1)
-    for i in range(n_max + 1 - q):
-        zq_over_b[i + q] = b_inv[i]
-    u = _series_mul(zq_over_b, zq_over_b, n_max)
+        return list(base)
 
     if kind is TraceKind.PLUS_MINUS_S:
         if s is None:
             raise ValueError("the pm-s stream needs a value for s")
-        denom = [-s * s * c for c in u]
+        # 1 - s**2 u is even in z, so invert it in z**2 and skip the zeros of u:
+        # inf * 0.0 would turn the s-free orders (n < 2q, odd n) into NaN
+        # when s**2 exceeds the float range
+        s2 = s * s
+        denom = [-s2 * c if c else 0.0 for c in u[::2]]
         denom[0] += 1.0
-        return _series_mul(base, _series_inv(denom, n_max), n_max)
+        inverse = [0.0] * (n_max + 1)
+        inverse[::2] = _series_inv(denom, n_max // 2)
+        return _series_mul(base, inverse, n_max)
 
     lt = lambda_tilde(lam, q)
     k_top = n_max // (2 * q)

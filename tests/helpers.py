@@ -61,3 +61,34 @@ def zone_traces(p: int, q: int, lam: float, n_max: int) -> tuple[float, ...]:
         float(np.sum(energies**n)) / energies.size if n % 2 == 0 else 0.0
         for n in range(n_max + 1)
     )
+
+
+def peierls_walk_traces(
+    p: int, q: int, lam: float, n_max: int, y_origin: int = 0
+) -> list[float]:
+    """Tr H**n per site for n = 0..n_max from the 2-D complex Peierls walk.
+
+    An independent check on the momentum-resolved engine: H**t d0 is
+    propagated on the (2t+1)**2 square around the origin, with the phase
+    exp(+/- i*gamma*y) on a horizontal hop at height y and amplitude lam/2 on
+    a vertical hop, and Tr H**(2t) = ||H**t d0||**2.  Odd orders are 0.
+    """
+    half_steps = n_max // 2
+    size = 2 * half_steps + 1
+    heights = np.arange(size) - half_steps + y_origin
+    phase = np.exp(2j * np.pi * p / q * heights)  # indexed by y, broadcast over x
+    half = lam / 2.0
+    psi = np.zeros((size, size), dtype=complex)  # psi[x, y]
+    psi[half_steps, half_steps] = 1.0
+    values = [1.0]
+    for t in range(1, half_steps + 1):
+        nxt = np.zeros_like(psi)
+        nxt[1:, :] += phase[None, :] * psi[:-1, :]
+        nxt[:-1, :] += np.conj(phase)[None, :] * psi[1:, :]
+        nxt[:, 1:] += half * psi[:, :-1]
+        nxt[:, :-1] += half * psi[:, 1:]
+        psi = nxt
+        values += [0.0, float(np.vdot(psi, psi).real)]
+    if n_max % 2:
+        values.append(0.0)
+    return values

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hoftrace
+from hoftrace import traces
 from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
 from hoftrace.cli import main
 from hoftrace.core import lambda_tilde, make_flux
@@ -84,6 +85,51 @@ def test_point_trace_matches_series_record(capsys):
             expected = json.loads(out)["records"][n]
             assert record == expected
             assert record["method"] == "series"
+
+
+def test_point_trace_builds_s_free_stream_once(capsys, monkeypatch):
+    # b**-1, the log-derivative prefactor and u serve every --s value
+    flux, lam, n = make_flux(5, 13), 0.7, 64
+    b = traces.cached_polynomial(flux, lam).b_coefficients()
+    b += [0.0] * (n + 1 - len(b))
+    inverted = []
+    series_inv = traces._series_inv
+
+    def counting_inv(x, n_top):
+        inverted.append(list(x))
+        return series_inv(x, n_top)
+
+    monkeypatch.setattr(traces, "_series_inv", counting_inv)
+    traces._stream_parts.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "point-trace", "--p", "5", "--q", "13", "--lambda", "0.7", "--n", "64",
+        "--s", "0", "1", "2",
+    )
+    assert code == 0
+    assert len(json.loads(out)["records"]) == 3
+    assert sum(x == b for x in inverted) == 1
+    assert len(inverted) == 4  # b, then 1 - s**2 u once per s
+
+
+def test_overflowing_s_squared_keeps_s_free_orders(capsys):
+    # s = 1e200 squares to inf; orders below 2q and odd orders do not depend on s
+    code, out, _ = run_cli(capsys, "point-trace", "--q", "3", "--n", "2", "--s", "1e200")
+    assert code == 0
+    assert json.loads(out)["records"][0]["value"] == 4.0
+    code, out, _ = run_cli(capsys, "point-trace", "--q", "3", "--n", "7", "--s", "1e200")
+    assert code == 0
+    assert json.loads(out)["records"][0]["value"] == 0.0
+    code, out, _ = run_cli(
+        capsys, "series", "--q", "3", "--kind", "pm-s", "--s", "1e200", "--n-max", "4"
+    )
+    assert code == 0
+    values = [record["value"] for record in json.loads(out)["records"]]
+    assert values == trace_series(make_flux(1, 3), 2.0, TraceKind.PLUS_MINUS_S, 0.0, 4)
+    assert values == [1.0, 0.0, 4.0, 0.0, 24.0]
+    # order 2q does depend on s, and its value is beyond the float range
+    code, out, err = run_cli(capsys, "point-trace", "--q", "3", "--n", "6", "--s", "1e200")
+    assert code == 1
+    assert out == "" and "order 6" in err
 
 
 @pytest.mark.parametrize("lam", (2.0, 0.7, 3.0))

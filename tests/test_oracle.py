@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
+from helpers import ZONE_CASES, all_fluxes, peierls_walk_traces, rel_err, zone_traces
 from hoftrace.chambers import eval_energy_polynomial
 from hoftrace.core import lambda_tilde, make_flux
 from hoftrace.oracle import (
@@ -180,6 +180,31 @@ def test_walk_trace_table_matches_zone(p, q, lam):
     assert all(table[n] == 0.0 for n in range(1, 65, 2))
     # an entry does not depend on how long the table is
     assert walk_trace_table(flux, lam, 9) == table[:10]
+
+
+def _assert_matches_peierls_walk(p, q, lam, n_max, y_origin=0):
+    table = walk_trace_table(make_flux(p, q), lam, n_max, y_origin=y_origin)
+    walk = peierls_walk_traces(p, q, lam, n_max, y_origin=y_origin)
+    assert len(table) == len(walk) == n_max + 1
+    for n in range(0, n_max + 1, 2):
+        assert abs(table[n] - walk[n]) <= 1e-13 * walk[n]
+    assert all(table[n] == 0.0 for n in range(1, n_max + 1, 2))
+
+
+@pytest.mark.parametrize("p, q, lam", ZONE_CASES)
+def test_walk_trace_table_matches_peierls_walk(p, q, lam):
+    # the momentum average of 1-D walks against the 2-D complex lattice walk
+    _assert_matches_peierls_walk(p, q, lam, 64)
+
+
+@pytest.mark.parametrize("y_origin", [0, 3])
+def test_walk_trace_table_matches_peierls_walk_off_origin(y_origin):
+    _assert_matches_peierls_walk(2, 5, 1.5, 64, y_origin=y_origin)
+
+
+@pytest.mark.parametrize("n_max", [1, 9, 33, 63])
+def test_walk_trace_table_matches_peierls_walk_at_odd_length(n_max):
+    _assert_matches_peierls_walk(3, 8, 0.7, n_max)
 
 
 def test_walk_trace_table_overflow_raises():
