@@ -2,11 +2,11 @@
 
 At rational flux p/q the q-band spectrum is governed by a single polynomial
 of degree q in the energy; its coefficient table turns spectral moments
-into finite partition sums.  This package builds that table two independent
-ways, evaluates the mid-band, point-spectrum and full quantum traces in
-closed form, recovers full traces by integrating point traces against the
-lattice density of states, and checks everything against eigensolver,
-momentum-quadrature and lattice-walk oracles.
+into finite partition sums.  This package builds that table from the
+paper's nested sums, evaluates the mid-band, point-spectrum and full
+quantum traces in closed form, recovers full traces by integrating point
+traces against the lattice density of states, and checks everything
+against eigensolver, momentum-quadrature and lattice-walk oracles.
 """
 
 from .chambers import (
@@ -50,7 +50,6 @@ from .traces import (
     pm_s_coefficients,
     pm_s_trace,
     trace_series,
-    trace_sum_rule,
 )
 
 __version__ = "0.1.0"
@@ -64,6 +63,7 @@ _ORACLE_NAMES = frozenset(
         "bz_trace",
         "point_spectrum_roots",
         "secular_matrix",
+        "trace_sum_rule",
         "walk_trace_table",
     }
 )

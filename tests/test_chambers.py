@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import proper_fluxes, rel_err
+from helpers import continuant_coefficients, mpmath_coefficients, proper_fluxes, rel_err
 import hoftrace.chambers
 from hoftrace.chambers import (
     _block_products,
@@ -18,10 +18,6 @@ LAMBDA_SWEEP = (0.5, 1.0, 2.0, 3.0)
 
 def test_golden_polynomials():
     # 1/3: E^3 - 6E, 1/4: E^4 - 8E^2 + 4
-    assert chambers_recursive(make_flux(1, 3), 2.0).a == pytest.approx((-1.0, 6.0), abs=1e-9)
-    assert chambers_recursive(make_flux(1, 4), 2.0).a == pytest.approx(
-        (-1.0, 8.0, -4.0), abs=1e-9
-    )
     assert chambers_nested(make_flux(1, 3), 2.0).a == pytest.approx((-1.0, 6.0), abs=1e-9)
     assert chambers_nested(make_flux(1, 4), 2.0).a == pytest.approx(
         (-1.0, 8.0, -4.0), abs=1e-9
@@ -30,7 +26,6 @@ def test_golden_polynomials():
 
 def test_zero_flux_polynomial():
     for lam in LAMBDA_SWEEP:
-        assert chambers_recursive(Flux(0, 1), lam).a == (-1.0,)
         assert chambers_nested(Flux(0, 1), lam).a == (-1.0,)
 
 
@@ -59,12 +54,18 @@ def test_block_products_reject_invalid_coupling(lam):
             _block_products(flux, lam)
 
 
+def test_recursive_name_is_the_nested_build():
+    assert chambers_recursive is chambers_nested
+
+
 @pytest.mark.parametrize("lam", LAMBDA_SWEEP)
 def test_recursive_matches_nested(lam):
+    # the determinant recursion at 40 digits, with its own block products
     for p, q in proper_fluxes(12):
-        rec = chambers_recursive(make_flux(p, q), lam)
+        expected = mpmath_coefficients(p, q, lam)
         nst = chambers_nested(make_flux(p, q), lam)
-        for x, y in zip(rec.a, nst.a):
+        assert len(nst.a) == len(expected)
+        for x, y in zip(expected, nst.a):
             assert rel_err(x, y) < 1e-9
 
 
@@ -72,7 +73,7 @@ def test_recursive_matches_nested(lam):
 def test_a2_is_q_times_coupling_factor(lam):
     expected_factor = 1.0 + (lam / 2.0) ** 2
     for p, q in proper_fluxes(12):
-        poly = chambers_recursive(make_flux(p, q), lam)
+        poly = chambers_nested(make_flux(p, q), lam)
         assert rel_err(poly.a[1], q * expected_factor) < 1e-9
 
 
@@ -81,8 +82,8 @@ def test_coefficient_duality(lam):
     # a_lam(2j) = (lam/2)^(2j) * a_(4/lam)(2j)
     for p, q in proper_fluxes(12):
         flux = make_flux(p, q)
-        direct = chambers_recursive(flux, lam)
-        dual = chambers_recursive(flux, 4.0 / lam)
+        direct = chambers_nested(flux, lam)
+        dual = chambers_nested(flux, 4.0 / lam)
         for j, (aj, dj) in enumerate(zip(direct.a, dual.a)):
             assert rel_err(aj, (lam / 2.0) ** (2 * j) * dj) < 1e-9
 
@@ -92,14 +93,13 @@ def test_isotropic_coefficients_are_integers_for_rational_cosines():
     # other denominators give algebraic irrationals (q=5 has a(4) =
     # -(35-5*sqrt(5))/2, cross-checked against the walk oracle via Tr H^4).
     for p, q in [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 6), (5, 6)]:
-        for aj in chambers_recursive(make_flux(p, q), 2.0).a:
+        for aj in chambers_nested(make_flux(p, q), 2.0).a:
             assert abs(aj - round(aj)) < 1e-6
 
 
 def test_leading_coefficient_is_exactly_minus_one():
     for p, q in proper_fluxes(10):
         for lam in LAMBDA_SWEEP:
-            assert chambers_recursive(make_flux(p, q), lam).a[0] == -1.0
             assert chambers_nested(make_flux(p, q), lam).a[0] == -1.0
 
 
@@ -111,18 +111,23 @@ def test_coefficient_vanishes_beyond_degree():
         assert len(b) == 2 * (q // 2) + 1 and b[-1] != 0.0
 
 
+def _float_recursion(flux, lam):
+    return tuple(c.real for c in continuant_coefficients(_block_products(flux, lam), flux.q))
+
+
 @pytest.mark.parametrize("lam", (2.0, 0.7, 3.0))
 def test_nested_equals_recursive_exactly(lam):
-    # the prefix-sum nest performs the recursion's floating-point operations
+    # the prefix-sum nest performs the float recursion's operations, so any
+    # re-association shows here as a changed bit
     for p, q in [(0, 1)] + proper_fluxes(60):
         flux = make_flux(p, q)
-        assert chambers_nested(flux, lam).a == chambers_recursive(flux, lam).a
+        assert chambers_nested(flux, lam).a == _float_recursion(flux, lam)
 
 
 @pytest.mark.parametrize("p, q, lam", ((7, 401, 0.7), (100, 401, 2.0), (3, 257, 3.0)))
 def test_nested_equals_recursive_exactly_at_large_q(p, q, lam):
     flux = make_flux(p, q)
-    assert chambers_nested(flux, lam).a == chambers_recursive(flux, lam).a
+    assert chambers_nested(flux, lam).a == _float_recursion(flux, lam)
 
 
 def test_nested_raises_on_non_real_coefficient():
@@ -145,8 +150,8 @@ def test_nested_builds_each_block_once(monkeypatch, p, q):
 
 
 def test_eval_energy_polynomial():
-    p3 = chambers_recursive(make_flux(1, 3), 2.0)
-    p4 = chambers_recursive(make_flux(1, 4), 2.0)
+    p3 = chambers_nested(make_flux(1, 3), 2.0)
+    p4 = chambers_nested(make_flux(1, 4), 2.0)
     assert eval_energy_polynomial(p3, 0.0) == 0.0
     assert eval_energy_polynomial(p4, 0.0) == 4.0
     assert abs(eval_energy_polynomial(p3, math.sqrt(6.0))) < 1e-10

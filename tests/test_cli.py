@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hoftrace
+import hoftrace.chambers
 from hoftrace import traces
 from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
 from hoftrace.cli import main
@@ -34,11 +35,16 @@ def test_coeffs_golden(capsys):
 
 
 def test_coeffs_methods_agree(capsys):
-    _, out_r, _ = run_cli(capsys, "coeffs", "--q", "5", "--method", "recursive")
-    _, out_n, _ = run_cli(capsys, "coeffs", "--q", "5", "--method", "nested")
-    a_r = json.loads(out_r)["a"]
-    a_n = json.loads(out_n)["a"]
-    assert a_r == pytest.approx(a_n, rel=1e-12)
+    # --method still parses but selects nothing: there is one builder
+    outputs = [
+        run_cli(capsys, "coeffs", "--p", "2", "--q", "7", *method)
+        for method in ((), ("--method", "recursive"), ("--method", "nested"))
+    ]
+    assert all(code == 0 for code, _, _ in outputs)
+    assert outputs[0][1] == outputs[1][1] == outputs[2][1]
+    doc = json.loads(outputs[0][1])
+    assert doc["method"] == "nested"
+    assert doc["a"] == list(hoftrace.chambers_nested(make_flux(2, 7), 2.0).a)
 
 
 def test_trace_single(capsys):
@@ -309,6 +315,51 @@ def test_verify_passes(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def _verify_checks(capsys, *argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    return code, {c["check"]: c for c in json.loads(out)["checks"]}
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_verify_coefficient_check_sees_a_perturbed_product(capsys, monkeypatch, index):
+    # comparing two builds from the same products could never see this
+    original = hoftrace.chambers._block_products
+
+    def perturbed(flux, lam):
+        products = original(flux, lam)
+        products[index] *= 1.0 + 1e-6
+        return products
+
+    monkeypatch.setattr(hoftrace.chambers, "_block_products", perturbed)
+    try:
+        code, checks = _verify_checks(capsys, "--p", "3", "--q", "8")
+    finally:  # keep the perturbed table out of the memoized ones
+        traces._cached_coefficients.cache_clear()
+        traces._stream_parts.cache_clear()
+    assert code == 2
+    assert checks["coefficients-recursive-vs-nested"]["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "p, q, lam, n_max", ((3, 8, 2.0, 8), (7, 101, 0.7, 8), (1, 1001, 2.0, 2))
+)
+def test_verify_coefficient_check_passes_at_large_q(capsys, p, q, lam, n_max):
+    _, checks = _verify_checks(
+        capsys, "--p", str(p), "--q", str(q), "--lambda", str(lam), "--n-max", str(n_max)
+    )
+    check = checks["coefficients-recursive-vs-nested"]
+    assert check["status"] == "pass"
+    assert 0.0 <= check["max_deviation"] <= check["tolerance"] == 1e-12
+
+
+@pytest.mark.parametrize("p, q", ((5, 6), (1, 6), (4, 5)))
+def test_verify_trace_sum_rule_at_q_up_to_6(capsys, p, q):
+    # the multinomial form of the rule failed at each of these, alone among the checks
+    code, checks = _verify_checks(capsys, "--p", str(p), "--q", str(q), "--n-max", "64")
+    assert checks["trace-sum-rule"]["max_deviation"] <= 1e-12
+    assert code == 0
+
+
 def test_verify_anisotropic(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--p", "1", "--q", "2", "--lambda", "1", "--n-max", "8"
@@ -356,6 +407,42 @@ def test_arithmetic_error_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("hoftrace: error:") and err.count("\n") == 1
+
+
+TINY = "coupling 1e-160 is too small: (2/lambda)**2 overflows"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("coeffs", "--q", "3", "--lambda", "1e-160"), TINY),
+        (("coeffs", "--q", "1", "--lambda", "1e-160", "--method", "nested"), TINY),
+        (("series", "--q", "3", "--lambda", "1e-160", "--n-max", "4"), TINY),
+        (("point-trace", "--q", "3", "--lambda", "1e-160", "--n", "4", "--s", "0"), TINY),
+        (("verify", "--q", "2", "--lambda", "1e-160"), TINY),
+        (
+            ("dos", "--q", "3", "--lambda", "1e-200"),
+            "--lambda 1e-200 is too small: (lambda/2)**3 underflows to 0",
+        ),
+        (
+            ("verify", "--p", "7", "--q", "401", "--lambda", "0.05"),
+            "--lambda 0.05 is too small: (lambda/2)**401 underflows to 0",
+        ),
+    ],
+)
+def test_tiny_lambda_names_the_range_error(capsys, argv, message):
+    # Python's own message was "(34, 'Numerical result out of range')", and
+    # an underflowing lambda_tilde read "lam_tilde must be positive, got 0.0"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"hoftrace: error: {message}\n"
+
+
+def test_tiny_lambda_where_no_table_is_built(capsys):
+    # trace never squares 2/lambda and dos at q = 1 keeps lambda_tilde > 0
+    assert run_cli(capsys, "trace", "--q", "3", "--lambda", "1e-160", "--n", "4")[0] == 0
+    assert run_cli(capsys, "dos", "--q", "1", "--lambda", "1e-160", "--grid", "3")[0] == 0
 
 
 @pytest.mark.parametrize(
