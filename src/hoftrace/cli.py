@@ -96,8 +96,10 @@ def _check_float_range(values, what: str) -> None:
 
 
 def _density_lambda_tilde(lam: float, q: int) -> float:
-    if (lt := lambda_tilde(lam, q)) == 0.0:  # the density of states needs lt > 0
+    if (lt := lambda_tilde(lam, q)) == 0.0:  # the density of states needs 0 < lt < inf
         raise ArithmeticError(f"--lambda {lam} is too small: (lambda/2)**{q} underflows to 0")
+    if lt == math.inf:
+        raise ArithmeticError(f"--lambda {lam} is too large: (lambda/2)**{q} overflows")
     return lt
 
 
@@ -238,6 +240,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
     q = flux.q
     lt = _density_lambda_tilde(lam, q)
     poly = chambers_nested(flux, lam)
+    _check_float_range(poly.a, "Chambers coefficient")
     evens = [n for n in range(2, n_max + 1, 2)]
     checks: list[dict] = []
 

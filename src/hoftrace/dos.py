@@ -157,7 +157,10 @@ def dos_moment(profile: DensityProfile, k: int) -> float:
     if k < 0:
         raise ValueError(f"moment index must be nonnegative, got {k}")
     abscissas, weights = _density_table(profile.lam_tilde, QUADRATURE_NODES)
-    return sum(w * s ** (2 * k) for s, w in zip(abscissas, weights))
+    try:
+        return sum(w * s ** (2 * k) for s, w in zip(abscissas, weights))
+    except OverflowError:  # float ** raises where float * gives inf
+        raise OverflowError(f"density moment {k} exceeds the float range") from None
 
 
 # default node count: dos_moment then meets the exact moments k < 4 to

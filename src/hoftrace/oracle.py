@@ -99,7 +99,11 @@ def bz_trace(flux: Flux, lam: float, n: int, grid: int) -> float:
         )
     ks = 2.0 * math.pi * np.arange(grid) / (grid * q)
     energies = band_energies(flux, lam, ks[:, None], ks[None, :])
-    return float(np.sum(energies**n) / (q * grid * grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(energies**n) / (q * grid * grid))
+    if not math.isfinite(value):
+        raise OverflowError(f"Tr H^{n} exceeds the float range at lambda {lam}")
+    return value
 
 
 def point_spectrum_roots(flux: Flux, lam: float, s: float, sign: int = 1) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Closed-form spectral moment traces and their generating-function streams.
 
-Every trace here is a partition sum over the coefficient table a(2j) of the
-Chambers polynomial:
+Each trace is a linear functional of T_k(n), the coefficients of the even
+polynomial Tr_(+/-s)(n) = sum_k T_k(n) s**(2k):
 
-* mid-band traces average E**n over the q roots of P(E) = 0,
+* mid-band traces average E**n over the q roots of P(E) = 0; they are T_0,
 * the +/-s traces average over the 2q roots of P(E) = +s and P(E) = -s,
-* the full quantum traces integrate over both quasi-momenta, which amounts
-  to replacing s**(2k) in the +/-s sum by the 2k-th moment of the lattice
+* the full quantum traces integrate over both quasi-momenta, which replaces
+  s**(2k) by the 2k-th moment central_factor(k, lam_tilde) of the lattice
   density of states.
+
+The direct traces form T_k(n) as the paper's partition sum over the Chambers
+coefficients a(2j).  The streams read the whole table from the generating
+function, T_k(n) = [z**n] base(z) * u(z)**k with k <= n/(2q), and weigh it.
 
 Odd moments vanish because each root multiset is symmetric under E -> -E;
 all operations return exactly 0 for odd n rather than erroring, which keeps
@@ -244,28 +248,26 @@ def _series_inv(x: list[float], n_top: int) -> list[float]:
 
 
 @functools.lru_cache(maxsize=256)
-def _stream_parts(
-    p: int, q: int, lam: float, n_max: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The s-free parts of every stream, built once per (flux, lam, n_max).
+def _stream_table(p: int, q: int, lam: float, n_max: int) -> tuple[tuple[float, ...], ...]:
+    """Rows T_k = base * u**k, k = 0..n_max//(2q), built once per (flux, lam, n_max).
 
-    They are the log-derivative prefactor 1 - z*b'(z)/(q*b(z)) and
-    u = (z**q / b(z))**2, which is even in z with lowest order 2q.
+    base = 1 - z*b'(z)/(q*b(z)) is the log-derivative prefactor and
+    u = (z**q / b(z))**2 is even in z with lowest order 2q, so row k is
+    zero below order 2qk and every odd order of every row is +0.0.
     """
     poly = cached_polynomial(Flux(p, q), lam)
-    b = [0.0] * (n_max + 1)
-    for j, cj in enumerate(poly.b_coefficients()):
-        if j <= n_max:
-            b[j] = cj
+    b = (poly.b_coefficients() + [0.0] * (n_max + 1))[: n_max + 1]
     zbp = [k * b[k] for k in range(n_max + 1)]  # z * b'(z)
     b_inv = _series_inv(b, n_max)
     base = _series_mul(zbp, b_inv, n_max)
     base = [-c / q if c else 0.0 for c in base]  # odd orders +0.0, not -0.0
     base[0] += 1.0
-    zq_over_b = [0.0] * (n_max + 1)
-    for i in range(n_max + 1 - q):
-        zq_over_b[i + q] = b_inv[i]
-    return tuple(base), tuple(_series_mul(zq_over_b, zq_over_b, n_max))
+    zq_over_b = ([0.0] * q + b_inv)[: n_max + 1]
+    u = _series_mul(zq_over_b, zq_over_b, n_max)
+    rows = [base]
+    for _ in range(n_max // (2 * q)):
+        rows.append(_series_mul(rows[-1], u, n_max))
+    return tuple(map(tuple, rows))
 
 
 def trace_series(
@@ -277,39 +279,26 @@ def trace_series(
 ) -> list[float]:
     """First n_max+1 Taylor coefficients in z of the requested trace stream.
 
-    The coefficient of z**n equals the corresponding direct trace.  All
-    three streams share the logarithmic-derivative prefactor
-    1 - z*b'(z) / (q*b(z)); the +/-s stream multiplies it by the geometric
-    resummation 1 / (1 - s**2 (z**q/b)**2) and the full stream by the
-    moment-weighted series sum_k central_factor(k) * (z**q/b)**(2k).
-    The s-free parts are memoized, so a stream at a second s, or of a
-    second kind, reuses them.
+    The coefficient of z**n equals the corresponding direct trace.  Each
+    stream is sum_k w_k T_k over the rows of the memoized _stream_table, and
+    only the weights depend on the kind: 1 on k = 0 alone (mid-band),
+    s**(2k) (+/-s) or central_factor(k, lam_tilde) (full).
     """
     if n_max < 0:
         raise ValueError(f"series order must be nonnegative, got {n_max}")
-    q = flux.q
-    base, u = _stream_parts(flux.p, q, lam, n_max)
-    if kind is TraceKind.MID_BAND:
-        return list(base)
-
+    k_range = range(n_max // (2 * flux.q) + 1)
+    weights = [1.0]
     if kind is TraceKind.PLUS_MINUS_S:
         if s is None:
             raise ValueError("the pm-s stream needs a value for s")
-        # 1 - s**2 u is even in z, so invert it in z**2 and skip the zeros of u:
-        # inf * 0.0 would turn the s-free orders (n < 2q, odd n) into NaN
-        # when s**2 exceeds the float range
-        s2 = s * s
-        denom = [-s2 * c if c else 0.0 for c in u[::2]]
-        denom[0] += 1.0
-        inverse = [0.0] * (n_max + 1)
-        inverse[::2] = _series_inv(denom, n_max // 2)
-        return _series_mul(base, inverse, n_max)
-
-    lt = lambda_tilde(lam, q)
-    k_top = n_max // (2 * q)
-    weighted = [0.0] * (n_max + 1)
-    weighted[0] = central_factor(k_top, lt)
-    for k in range(k_top - 1, -1, -1):
-        weighted = _series_mul(weighted, u, n_max)
-        weighted[0] += central_factor(k, lt)
-    return _series_mul(base, weighted, n_max)
+        for _ in k_range[1:]:  # by products, which reach inf where float ** raises
+            weights.append(weights[-1] * (s * s))
+    elif kind is TraceKind.FULL:
+        lt = lambda_tilde(lam, flux.q)
+        weights = [central_factor(k, lt) for k in k_range]
+    out = [0.0] * (n_max + 1)
+    for weight, row in zip(weights, _stream_table(flux.p, flux.q, lam, n_max)):
+        for n, c in enumerate(row):
+            if c:  # inf * 0.0 would turn the s-free orders into NaN when s**2 overflows
+                out[n] += weight * c
+    return out

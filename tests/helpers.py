@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 
+from hoftrace.core import enumerate_partition_terms, multinomial_weight
+
 
 def rel_err(a: float, b: float) -> float:
     """Deviation scaled by the larger magnitude, floored at 1."""
@@ -65,6 +67,29 @@ def mpmath_coefficients(p: int, q: int, lam: float, digits: int = 40) -> list[fl
             w = mpmath.expjpi(mpmath.mpf(2 * (k + 1) * p) / q)
             products.append(half2 * (1 - w) * (1 - ratio * mpmath.conj(w)))
         return [float(mpmath.re(c)) for c in continuant_coefficients(products, q)]
+
+
+def mpmath_pm_s_coefficients(a, q: int, n: int, digits: int = 40) -> list[float]:
+    """T_k(n), k = 0..n//(2q), from the paper's partition formula in mpmath.
+
+    Each term is its exact multinomial weight times the product of the
+    coefficients a(2j), formed at the working precision and summed there,
+    so the float cancellation of the partition sum does not enter.
+    """
+    if n == 0:
+        return [1.0]
+    if n % 2:
+        return [0.0]
+    with mpmath.workdps(digits):
+        a_m = [mpmath.mpf(x) for x in a]
+        out = [mpmath.mpf(0)] * (n // (2 * q) + 1)
+        for term in enumerate_partition_terms(n // 2, q):
+            weight = multinomial_weight(term)
+            value = mpmath.mpf(weight.numerator) / weight.denominator
+            for j, count in enumerate(term.ell, start=1):
+                value *= a_m[j] ** count
+            out[term.k] += value
+        return [float(mpmath.mpf(n) / q * t) for t in out]
 
 
 # (p, q, lam) where the moment engine is pinned to the zone reference at n = 64:

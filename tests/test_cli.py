@@ -94,7 +94,7 @@ def test_point_trace_matches_series_record(capsys):
 
 
 def test_point_trace_builds_s_free_stream_once(capsys, monkeypatch):
-    # b**-1, the log-derivative prefactor and u serve every --s value
+    # one +/-s table serves every --s value: b is inverted once and nothing else is
     flux, lam, n = make_flux(5, 13), 0.7, 64
     b = traces.cached_polynomial(flux, lam).b_coefficients()
     b += [0.0] * (n + 1 - len(b))
@@ -106,15 +106,15 @@ def test_point_trace_builds_s_free_stream_once(capsys, monkeypatch):
         return series_inv(x, n_top)
 
     monkeypatch.setattr(traces, "_series_inv", counting_inv)
-    traces._stream_parts.cache_clear()
+    traces._stream_table.cache_clear()
     code, out, _ = run_cli(
         capsys, "point-trace", "--p", "5", "--q", "13", "--lambda", "0.7", "--n", "64",
         "--s", "0", "1", "2",
     )
     assert code == 0
     assert len(json.loads(out)["records"]) == 3
-    assert sum(x == b for x in inverted) == 1
-    assert len(inverted) == 4  # b, then 1 - s**2 u once per s
+    assert inverted == [b]
+    assert traces._stream_table.cache_info().misses == 1
 
 
 def test_overflowing_s_squared_keeps_s_free_orders(capsys):
@@ -136,6 +136,15 @@ def test_overflowing_s_squared_keeps_s_free_orders(capsys):
     code, out, err = run_cli(capsys, "point-trace", "--q", "3", "--n", "6", "--s", "1e200")
     assert code == 1
     assert out == "" and "order 6" in err
+
+
+def test_point_trace_names_an_overflowing_power_of_s(capsys):
+    # s**2 = 1e200 is finite and s**4 is not: the weight reaches inf, it does not raise
+    code, out, err = run_cli(capsys, "point-trace", "--q", "1", "--n", "4", "--s", "1e100")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        "hoftrace: error: the +/-s trace of order 4 at s = 1e+100 exceeds the float range"
+    )
 
 
 @pytest.mark.parametrize("lam", (2.0, 0.7, 3.0))
@@ -335,7 +344,7 @@ def test_verify_coefficient_check_sees_a_perturbed_product(capsys, monkeypatch, 
         code, checks = _verify_checks(capsys, "--p", "3", "--q", "8")
     finally:  # keep the perturbed table out of the memoized ones
         traces._cached_coefficients.cache_clear()
-        traces._stream_parts.cache_clear()
+        traces._stream_table.cache_clear()
     assert code == 2
     assert checks["coefficients-recursive-vs-nested"]["status"] == "fail"
 
@@ -407,6 +416,35 @@ def test_arithmetic_error_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("hoftrace: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--q", "5", "--lambda", "1e100", "--n-max", "8"),
+         "--lambda 1e+100 is too large: (lambda/2)**5 overflows"),
+        (("verify", "--p", "1", "--q", "2", "--lambda", "1e155", "--n-max", "2"),
+         "--lambda 1e+155 is too large: (lambda/2)**2 overflows"),
+        (("verify", "--q", "3", "--lambda", "1e40", "--n-max", "8"),
+         "Tr H^8 exceeds the float range at lambda 1e+40"),
+        (("dos", "--q", "5", "--lambda", "1e150"),
+         "--lambda 1e+150 is too large: (lambda/2)**5 overflows"),
+        (("verify", "--p", "1", "--q", "8", "--lambda", "1e10", "--n-max", "2"),
+         "density moment 2 exceeds the float range"),
+    ],
+)
+def test_huge_lambda_exits_with_one_line(argv, message):
+    # in a fresh process, so that NumPy's RuntimeWarnings would reach stderr;
+    # Python's own message was "(34, 'Numerical result out of range')"
+    src = str(Path(hoftrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "hoftrace", *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"hoftrace: error: {message}\n"
 
 
 TINY = "coupling 1e-160 is too small: (2/lambda)**2 overflows"

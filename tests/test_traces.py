@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import all_fluxes, proper_fluxes, rel_err
-from hoftrace import trace_sum_rule
+from helpers import all_fluxes, mpmath_pm_s_coefficients, proper_fluxes, rel_err
+from hoftrace import trace_sum_rule, traces
 from hoftrace.core import make_flux
 from hoftrace.traces import (
     DegeneratePolynomial,
@@ -197,6 +197,25 @@ def test_series_odd_orders_are_positive_zero(kind):
             stream = trace_series(make_flux(p, q), lam, kind, 1.5, 24)
             for n in range(1, 25, 2):
                 assert stream[n] == 0.0 and math.copysign(1.0, stream[n]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "p, q, lam",
+    ((0, 1, 2.0), (1, 2, 0.7), (2, 5, 2.0), (4, 7, 3.0), (3, 8, 2.0), (8, 13, 2.0),
+     (5, 13, 0.7), (4, 11, 3.0)),
+)
+def test_stream_table_rows_match_partition_formula_in_mpmath(p, q, lam):
+    # every row T_k(n) = [z**n] base*u**k against the 40-digit partition sum;
+    # the float partition sum misses this by 3e-8 at 2/5 and by 5e6 at 8/13
+    poly = cached_polynomial(make_flux(p, q), lam)
+    table = traces._stream_table(p, q, lam, 64)
+    assert len(table) == 64 // (2 * q) + 1
+    for n in range(0, 65, 2):
+        reference = mpmath_pm_s_coefficients(poly.a, q, n)
+        scale = max(abs(t) for t in reference)
+        for k, row in enumerate(table):
+            expected = reference[k] if k < len(reference) else 0.0
+            assert abs(row[n] - expected) <= 1e-11 * scale, (n, k)
 
 
 def test_series_needs_s_for_point_stream():
