@@ -24,8 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .core import Flux, InvalidCoupling
 
@@ -33,8 +33,7 @@ from .core import Flux, InvalidCoupling
 _IMAG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ChambersPolynomial:
+class ChambersPolynomial(NamedTuple):
     """Coefficient table a(2j), j = 0..floor(q/2), for one (flux, lam)."""
 
     flux: Flux

@@ -19,11 +19,10 @@ import math
 import sys
 from typing import Optional
 
-from . import dos as dos_mod
-from . import traces
+# traces, dos and oracle are imported by the commands that run them, so a cold
+# process compiles and loads only what its command needs
 from .chambers import chambers_nested, chambers_recursive  # noqa: F401  (traced by perfbench)
-from .core import Flux, InvalidCoupling, InvalidFlux, lambda_tilde, make_flux
-from .traces import TraceKind, TraceMethod, TraceRecord
+from .core import Flux, TraceKind, lambda_tilde, make_flux
 
 N_MAX_CAP = 64
 # verify's walk-check range: past n = 20 the float partition sum fails 1e-8 at most q <= 13
@@ -60,8 +59,11 @@ def _emit(document: dict, rows: list[dict], fmt: str, output: Optional[str]) -> 
             )
         text = buffer.getvalue().rstrip("\n")
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:  # reported by main as a usage error, exit 1
+            raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -103,7 +105,7 @@ def _density_lambda_tilde(lam: float, q: int) -> float:
     return lt
 
 
-def _record_rows(records: list[TraceRecord]) -> list[dict]:
+def _record_rows(records: list) -> list[dict]:
     return [record.to_dict() for record in records]
 
 
@@ -125,6 +127,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from . import oracle  # NumPy loads only for the commands that use the oracles
+    from .traces import TraceMethod, TraceRecord
 
     flux = _flux_from_args(args)
     if args.n is not None:
@@ -149,6 +152,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_point_trace(args: argparse.Namespace) -> int:
+    from . import traces
+
     flux = _flux_from_args(args)
     _check_order(args.n, "--n")
     bound = 2.0 * (1.0 + lambda_tilde(args.lam, flux.q))
@@ -165,8 +170,9 @@ def cmd_point_trace(args: argparse.Namespace) -> int:
                 f"the +/-s trace of order {args.n} at s = {s} exceeds the float range"
             )
         records.append(
-            TraceRecord(
-                flux, args.lam, args.n, s, TraceKind.PLUS_MINUS_S, value, TraceMethod.SERIES
+            traces.TraceRecord(
+                flux, args.lam, args.n, s, TraceKind.PLUS_MINUS_S, value,
+                traces.TraceMethod.SERIES,
             )
         )
     rows = _record_rows(records)
@@ -175,6 +181,8 @@ def cmd_point_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from . import traces
+
     flux = _flux_from_args(args)
     _check_order(args.n_max, "--n-max")
     kind = TraceKind(args.kind)
@@ -184,7 +192,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     coeffs = traces.trace_series(flux, args.lam, kind, s, args.n_max)
     _check_float_range(coeffs, "series coefficient of order")
     records = [
-        TraceRecord(flux, args.lam, n, s, kind, value, TraceMethod.SERIES)
+        traces.TraceRecord(flux, args.lam, n, s, kind, value, traces.TraceMethod.SERIES)
         for n, value in enumerate(coeffs)
     ]
     rows = _record_rows(records)
@@ -193,20 +201,22 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_dos(args: argparse.Namespace) -> int:
+    from . import dos
+
     if args.q < 1:
         raise ValueError(f"--q must be positive, got {args.q}")
     if args.lam_tilde is not None:
         lt = args.lam_tilde
     else:
         lt = _density_lambda_tilde(args.lam, args.q)
-    profile = dos_mod.DensityProfile(lt)
+    profile = dos.DensityProfile(lt)
     edge = profile.support_half_width
     if not math.isfinite(edge):  # edge = 2*(1 + lt) also overflows when lt does
         raise OverflowError(f"the support half-width at lambda_tilde {lt} exceeds the float range")
     grid = args.grid
     if grid < 2:
         raise ValueError(f"--grid must be at least 2, got {grid}")
-    moment_values = [dos_mod.dos_moment_exact(k, lt) for k in range(6)]
+    moment_values = [dos.dos_moment_exact(k, lt) for k in range(6)]
     _check_float_range(moment_values, "density moment")
     samples = []
     for i in range(grid):
@@ -235,7 +245,7 @@ def _deviation(a: float, b: float) -> float:
 
 
 def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
-    from . import oracle
+    from . import dos, oracle, traces
 
     q = flux.q
     lt = _density_lambda_tilde(lam, q)
@@ -355,11 +365,11 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         1e-9,
     )
 
-    profile = dos_mod.DensityProfile(lt)
+    profile = dos.DensityProfile(lt)
     add(
         "dos-moment-quadrature",
         max(
-            _deviation(dos_mod.dos_moment(profile, k), dos_mod.dos_moment_exact(k, lt))
+            _deviation(dos.dos_moment(profile, k), dos.dos_moment_exact(k, lt))
             for k in range(4)
         ),
         1e-9,
@@ -369,7 +379,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         "point-trace-closure-exact",
         max(
             (
-                _deviation(dos_mod.integrate_point_traces_exact(flux, lam, n), formula[n])
+                _deviation(dos.integrate_point_traces_exact(flux, lam, n), formula[n])
                 for n in evens
             ),
             default=0.0,
@@ -380,7 +390,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         "point-trace-closure-quadrature",
         max(
             (
-                _deviation(dos_mod.integrate_point_traces(flux, lam, n), formula[n])
+                _deviation(dos.integrate_point_traces(flux, lam, n), formula[n])
                 for n in evens
             ),
             default=0.0,
@@ -492,9 +502,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _check_finite(args)
         return args.func(args)
-    except (
-        InvalidFlux, InvalidCoupling, ValueError, ArithmeticError, dos_mod.DomainError
-    ) as exc:
+    except (ValueError, ArithmeticError) as exc:  # InvalidFlux, DomainError, ... subclass ValueError
         print(f"hoftrace: error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,15 +7,19 @@ The partition sums that produce spectral moments run over solutions of
 each weighted by a multinomial coefficient divided by the total number of
 parts.  Multinomials overflow 64-bit integers well below interesting n, so
 weights are kept as exact rationals and converted to floating point only
-when they are multiplied into real-valued coefficient products.
+when they are multiplied into real-valued coefficient products.  Only
+``multinomial_weight`` needs ``fractions``, so it loads that module on its
+first call and the CLI commands that never weigh a term never import it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from enum import Enum
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InvalidFlux(ValueError):
@@ -30,8 +34,20 @@ class DegenerateTerm(ValueError):
     """The all-zero partition term carries no multinomial weight."""
 
 
-@dataclass(frozen=True)
-class Flux:
+class TraceKind(str, Enum):
+    """Which trace a stream or record holds; the values are ``series --kind``'s choices."""
+
+    MID_BAND = "mid-band"
+    PLUS_MINUS_S = "pm-s"
+    FULL = "full"
+
+
+class _FluxFields(NamedTuple):
+    p: int
+    q: int
+
+
+class Flux(_FluxFields):
     """Reduced rational magnetic flux p/q, with gamma = 2*pi*p/q per plaquette.
 
     Invariants: q >= 1, 0 <= p < q, gcd(p, q) = 1.  Zero flux is the
@@ -39,16 +55,16 @@ class Flux:
     arbitrary integer pair.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise InvalidFlux(f"denominator must be positive, got {self.q}")
-        if not 0 <= self.p < self.q and not (self.p == 0 and self.q == 1):
-            raise InvalidFlux(f"numerator {self.p} not canonical for q={self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidFlux(f"{self.p}/{self.q} is not in lowest terms")
+    def __new__(cls, p: int, q: int) -> Flux:
+        if q < 1:
+            raise InvalidFlux(f"denominator must be positive, got {q}")
+        if not 0 <= p < q and not (p == 0 and q == 1):
+            raise InvalidFlux(f"numerator {p} not canonical for q={q}")
+        if math.gcd(p, q) != 1:
+            raise InvalidFlux(f"{p}/{q} is not in lowest terms")
+        return super().__new__(cls, p, q)
 
     @property
     def gamma(self) -> float:
@@ -93,8 +109,7 @@ def lambda_tilde(lam: float, q: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class PartitionTerm:
+class PartitionTerm(NamedTuple):
     """One summand (k, l_1..l_m) of a trace partition sum."""
 
     k: int
@@ -134,16 +149,22 @@ def enumerate_partition_terms(half_n: int, q: int) -> Iterator[PartitionTerm]:
             yield PartitionTerm(k, ell)
 
 
+_fraction = None  # fractions.Fraction, bound by the first multinomial_weight call
+
+
 def multinomial_weight(term: PartitionTerm) -> Fraction:
     """Exact weight multinomial(sum l + 2k; l_1, ..., l_m, 2k) / (sum l + 2k).
 
     Raises DegenerateTerm for the all-zero term, whose weight would divide
     by zero; that term only arises for n = 0, which callers special-case.
     """
+    global _fraction
+    if _fraction is None:
+        from fractions import Fraction as _fraction
     total = term.total_parts
     if total == 0:
         raise DegenerateTerm("all-zero partition term has no weight")
     denominator = math.factorial(2 * term.k)
     for count in term.ell:
         denominator *= math.factorial(count)
-    return Fraction(math.factorial(total), denominator * total)
+    return _fraction(math.factorial(total), denominator * total)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Flux, lambda_tilde
 from .traces import cached_polynomial, central_factor, pm_s_coefficients
@@ -113,15 +113,19 @@ def dos_deformed(s: float, lam_tilde: float) -> float:
     return 2.0 * _agm_k(root) / (math.pi**2 * math.sqrt(edge - x) * math.sqrt(edge + x))
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    """Tabulated density of states for one deformation parameter lam_tilde."""
-
+class _DensityFields(NamedTuple):
     lam_tilde: float
 
-    def __post_init__(self) -> None:
-        if not self.lam_tilde > 0.0:
-            raise DomainError(f"lam_tilde must be positive, got {self.lam_tilde}")
+
+class DensityProfile(_DensityFields):
+    """Tabulated density of states for one deformation parameter lam_tilde."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam_tilde: float) -> DensityProfile:
+        if not lam_tilde > 0.0:
+            raise DomainError(f"lam_tilde must be positive, got {lam_tilde}")
+        return super().__new__(cls, lam_tilde)
 
     @property
     def support_half_width(self) -> float:

@@ -24,13 +24,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chambers import ChambersPolynomial, chambers_nested, chambers_recursive  # noqa: F401 (traced)
 from .core import (
     Flux,
+    TraceKind,
     enumerate_partition_terms,
     lambda_tilde,
     multinomial_weight,
@@ -49,19 +49,12 @@ class SpectralRangeWarning(UserWarning):
     """
 
 
-class TraceKind(str, Enum):
-    MID_BAND = "mid-band"
-    PLUS_MINUS_S = "pm-s"
-    FULL = "full"
-
-
 class TraceMethod(str, Enum):
     SERIES = "series"
     WALK = "half-walk"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One computed trace value with its provenance and parameters."""
 
     flux: Flux

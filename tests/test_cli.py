@@ -585,3 +585,66 @@ def test_array_free_commands_do_not_load_numpy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def _fresh_process(script, *argv):
+    src = str(Path(hoftrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+COLD_COMMAND = (
+    "import contextlib, io, sys\n"
+    "import hoftrace.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = hoftrace.cli.main(sys.argv[1:])\n"
+    "print(code, *sys.modules)\n"
+)
+UNNEEDED = ("dataclasses", "fractions", "numpy")  # by every array-free printing command
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("coeffs", "--q", "7", "--lambda", "0.7"),
+         ("hoftrace.traces", "hoftrace.dos", *UNNEEDED)),
+        (("point-trace", "--q", "5", "--n", "8", "--s", "0", "1"),
+         ("hoftrace.dos", *UNNEEDED)),
+        (("series", "--q", "5", "--kind", "pm-s", "--s", "1", "--n-max", "16"),
+         ("hoftrace.dos", *UNNEEDED)),
+        (("dos", "--q", "2", "--lambda", "0.7"), UNNEEDED),
+    ],
+)
+def test_cold_command_loads_only_what_it_runs(argv, unloaded):
+    # one fresh process per command: a shared one would hide what an earlier command loaded
+    result = _fresh_process(COLD_COMMAND, *argv)
+    assert result.returncode == 0, result.stderr
+    code, *modules = result.stdout.split()
+    assert code == "0"
+    assert sorted(set(unloaded) & set(modules)) == []
+
+
+def test_import_hoftrace_loads_no_submodule():
+    result = _fresh_process("import sys\nimport hoftrace\nprint(*sys.modules)\n")
+    assert result.returncode == 0, result.stderr
+    assert [m for m in result.stdout.split() if m.startswith("hoftrace.")] == []
+
+
+@pytest.mark.parametrize(
+    "argv, target, reason",
+    [
+        (("trace", "--q", "3", "--n", "4"), "missing/x.json", "No such file or directory"),
+        (("coeffs", "--q", "3"), ".", "Is a directory"),
+    ],
+)
+def test_unwritable_output_exits_with_one_line(tmp_path, argv, target, reason):
+    path = str(tmp_path / target)
+    result = _fresh_process(
+        "from hoftrace.cli import entrypoint\nentrypoint()\n", *argv, "--output", path
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"hoftrace: error: cannot write --output {path}: {reason}\n"

@@ -1,11 +1,23 @@
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import hoftrace
 import hoftrace.oracle
+from hoftrace import (
+    ChambersPolynomial,
+    DensityProfile,
+    DomainError,
+    Flux,
+    InvalidFlux,
+    PartitionTerm,
+    TraceKind,
+    TraceMethod,
+    TraceRecord,
+)
 
 
 @pytest.mark.parametrize("name", hoftrace.__all__)
@@ -23,6 +35,45 @@ def test_oracle_names_are_the_oracle_objects():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="module 'hoftrace' has no attribute 'no_such_name'"):
         hoftrace.no_such_name
+
+
+VALUE_TYPES = [
+    (Flux, ("p", "q"), (1, 3)),
+    (PartitionTerm, ("k", "ell"), (1, (2, 0))),
+    (ChambersPolynomial, ("flux", "lam", "a"), (Flux(1, 3), 2.0, (-1.0, 6.0))),
+    (
+        TraceRecord,
+        ("flux", "lam", "n", "s", "kind", "value", "method"),
+        (Flux(1, 3), 2.0, 4, None, TraceKind.FULL, 24.0, TraceMethod.WALK),
+    ),
+    (DensityProfile, ("lam_tilde",), (1.0,)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values", VALUE_TYPES, ids=lambda v: getattr(v, "__name__", ""))
+def test_value_type_contract(cls, fields, values):
+    # immutable values with a fixed constructor, whatever class machinery builds them
+    assert tuple(inspect.signature(cls).parameters) == fields
+    made = cls(*values)
+    assert tuple(getattr(made, field) for field in fields) == values
+    assert cls(**dict(zip(fields, values))) == made
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(made, field, getattr(made, field))
+    twin = cls(*values)
+    assert twin == made
+    assert hash(twin) == hash(made)
+    assert repr(made).startswith(f"{cls.__name__}({fields[0]}=")
+
+
+def test_value_type_text_and_validation():
+    assert repr(Flux(1, 3)) == "Flux(p=1, q=3)"
+    assert str(Flux(1, 3)) == "1/3"
+    for p, q in ((2, 4), (3, 3)):
+        with pytest.raises(InvalidFlux):
+            Flux(p, q)
+    with pytest.raises(DomainError):
+        DensityProfile(0.0)
 
 
 def _tracer_wrap_points():
