@@ -24,8 +24,8 @@ _MODULE_OF = {
         ),
         "core": (
             "DegenerateTerm", "Flux", "InvalidCoupling", "InvalidFlux", "PartitionTerm",
-            "TraceKind", "enumerate_partition_terms", "lambda_tilde", "make_flux",
-            "multinomial_weight",
+            "TraceKind", "TraceMethod", "TraceRecord", "enumerate_partition_terms",
+            "lambda_tilde", "make_flux", "multinomial_weight",
         ),
         "dos": (
             "DensityProfile", "DomainError", "dos_deformed", "dos_free", "dos_moment",
@@ -37,9 +37,9 @@ _MODULE_OF = {
             "point_spectrum_roots", "secular_matrix", "trace_sum_rule", "walk_trace_table",
         ),
         "traces": (
-            "DegeneratePolynomial", "SpectralRangeWarning", "TraceMethod", "TraceRecord",
-            "almost_mathieu_trace", "hofstadter_trace", "midband_trace", "newton_power_sums",
-            "pm_s_coefficients", "pm_s_trace", "trace_series",
+            "DegeneratePolynomial", "SpectralRangeWarning", "almost_mathieu_trace",
+            "hofstadter_trace", "midband_trace", "newton_power_sums", "pm_s_coefficients",
+            "pm_s_trace", "trace_series",
         ),
     }.items()
     for name in names

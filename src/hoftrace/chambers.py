@@ -27,7 +27,7 @@ import operator
 from itertools import accumulate
 from typing import NamedTuple
 
-from .core import Flux, InvalidCoupling
+from .core import Flux, check_coupling
 
 # imaginary residue allowed before a coefficient is declared non-real
 _IMAG_TOL = 1e-9
@@ -75,8 +75,7 @@ def _block_products(flux: Flux, lam: float) -> list[complex]:
     Indices run over 0..q-2: block q-1 has w = 1, so it vanishes
     identically and is unused.
     """
-    if not lam > 0:
-        raise InvalidCoupling(f"coupling must be positive, got {lam}")
+    check_coupling(lam)
     half = lam / 2.0
     try:
         ratio = (2.0 / lam) ** 2

@@ -11,18 +11,20 @@ range, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional
 
 # traces, dos and oracle are imported by the commands that run them, so a cold
 # process compiles and loads only what its command needs
 from .chambers import chambers_nested, chambers_recursive  # noqa: F401  (traced by perfbench)
-from .core import Flux, TraceKind, lambda_tilde, make_flux
+from .core import (
+    Flux, TraceKind, TraceMethod, TraceRecord, check_coupling, lambda_tilde, make_flux,
+)
 
 N_MAX_CAP = 64
 # verify's walk-check range: past n = 20 the float partition sum fails 1e-8 at most q <= 13
@@ -48,6 +50,8 @@ def _emit(document: dict, rows: list[dict], fmt: str, output: Optional[str]) -> 
     if fmt == "json":
         text = json.dumps(document, indent=2, default=str)
     else:
+        import csv  # only CSV output needs it
+
         buffer = io.StringIO()
         fieldnames = list(rows[0].keys()) if rows else []
         writer = csv.DictWriter(buffer, fieldnames=fieldnames)
@@ -126,19 +130,27 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from . import oracle  # NumPy loads only for the commands that use the oracles
-    from .traces import TraceMethod, TraceRecord
-
     flux = _flux_from_args(args)
     if args.n is not None:
         _check_order(args.n, "--n")
-        n_max, orders = args.n, [args.n]
+        orders = [args.n]
     else:
         _check_order(args.n_max, "--n-max")
-        n_max, orders = args.n_max, range(args.n_max + 1)
-    table = oracle.walk_trace_table(flux, args.lam, n_max)
+        orders = range(args.n_max + 1)
+    # closed walks on the bipartite lattice have even length, so odd moments are
+    # exactly 0 and Tr H^0 = 1: only an even order >= 2 needs the walk, and NumPy
+    walk_length = max((n for n in orders if n % 2 == 0), default=0)
+    if walk_length >= 2:
+        from . import oracle
+
+        table = oracle.walk_trace_table(flux, args.lam, walk_length)
+    else:
+        check_coupling(args.lam)
+        table = [1.0]
     records = [
-        TraceRecord(flux, args.lam, n, None, TraceKind.FULL, table[n], TraceMethod.WALK)
+        TraceRecord(
+            flux, args.lam, n, None, TraceKind.FULL, 0.0 if n % 2 else table[n], TraceMethod.WALK
+        )
         for n in orders
     ]
     rows = _record_rows(records)
@@ -170,9 +182,8 @@ def cmd_point_trace(args: argparse.Namespace) -> int:
                 f"the +/-s trace of order {args.n} at s = {s} exceeds the float range"
             )
         records.append(
-            traces.TraceRecord(
-                flux, args.lam, args.n, s, TraceKind.PLUS_MINUS_S, value,
-                traces.TraceMethod.SERIES,
+            TraceRecord(
+                flux, args.lam, args.n, s, TraceKind.PLUS_MINUS_S, value, TraceMethod.SERIES
             )
         )
     rows = _record_rows(records)
@@ -192,7 +203,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     coeffs = traces.trace_series(flux, args.lam, kind, s, args.n_max)
     _check_float_range(coeffs, "series coefficient of order")
     records = [
-        traces.TraceRecord(flux, args.lam, n, s, kind, value, traces.TraceMethod.SERIES)
+        TraceRecord(flux, args.lam, n, s, kind, value, TraceMethod.SERIES)
         for n, value in enumerate(coeffs)
     ]
     rows = _record_rows(records)
@@ -508,7 +519,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit's own flush
+    except BrokenPipeError:
+        # the reader went away (`| head`): silence the interpreter's final
+        # flush by pointing stdout at devnull, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

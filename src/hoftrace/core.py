@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,6 +40,11 @@ class TraceKind(str, Enum):
     MID_BAND = "mid-band"
     PLUS_MINUS_S = "pm-s"
     FULL = "full"
+
+
+class TraceMethod(str, Enum):
+    SERIES = "series"
+    WALK = "half-walk"
 
 
 class _FluxFields(NamedTuple):
@@ -94,14 +99,43 @@ def make_flux(p: int, q: int) -> Flux:
     return Flux(p // g, q // g)
 
 
+class TraceRecord(NamedTuple):
+    """One computed trace value with its provenance and parameters."""
+
+    flux: Flux
+    lam: float
+    n: int
+    s: Optional[float]
+    kind: TraceKind
+    value: float
+    method: TraceMethod
+
+    def to_dict(self) -> dict:
+        return {
+            "p": self.flux.p,
+            "q": self.flux.q,
+            "lambda": self.lam,
+            "kind": self.kind.value,
+            "n": self.n,
+            "s": self.s,
+            "value": self.value,
+            "method": self.method.value,
+        }
+
+
+def check_coupling(lam: float) -> None:
+    """Raise InvalidCoupling unless lam > 0 (NaN included)."""
+    if not lam > 0:
+        raise InvalidCoupling(f"coupling must be positive, got {lam}")
+
+
 def lambda_tilde(lam: float, q: int) -> float:
     """(lam/2)**q accumulated by q left-to-right multiplications.
 
     The evaluation order is fixed so that every module computes bit-identical
     powers of lam/2 (the quantity enters range bounds and moment formulas).
     """
-    if not lam > 0:
-        raise InvalidCoupling(f"coupling must be positive, got {lam}")
+    check_coupling(lam)
     half = lam / 2.0
     out = 1.0
     for _ in range(q):

@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from .chambers import ChambersPolynomial, chambers_nested
-from .core import Flux, InvalidCoupling, lambda_tilde
+from .core import Flux, check_coupling, lambda_tilde
 
 
 # momenta on the walk's ring: 2t+1 = 65 suffices for every n <= 64, and one
@@ -54,8 +54,7 @@ def secular_matrix(
     kx and ky broadcast against each other and the result has shape
     (..., q, q), so scalar momenta give a single q x q matrix.
     """
-    if not lam > 0:
-        raise InvalidCoupling(f"coupling must be positive, got {lam}")
+    check_coupling(lam)
     q = flux.q
     kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
     rows = np.arange(q)
@@ -201,8 +200,7 @@ def walk_trace_table(
     active heights.  y_origin rebases the gauge; the trace must not depend
     on it.  Raises OverflowError when a moment exceeds the float range.
     """
-    if not lam > 0:
-        raise InvalidCoupling(f"coupling must be positive, got {lam}")
+    check_coupling(lam)
     if n_max < 0:
         raise ValueError(f"walk length must be nonnegative, got {n_max}")
     half_steps = n_max // 2

@@ -24,13 +24,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chambers import ChambersPolynomial, chambers_nested, chambers_recursive  # noqa: F401 (traced)
-from .core import (
+from .core import (  # noqa: F401  (TraceMethod and TraceRecord are re-exported)
     Flux,
     TraceKind,
+    TraceMethod,
+    TraceRecord,
     enumerate_partition_terms,
     lambda_tilde,
     multinomial_weight,
@@ -47,35 +48,6 @@ class SpectralRangeWarning(UserWarning):
     The partition sum is a polynomial identity in s and still evaluates;
     the result has no point-spectrum interpretation.
     """
-
-
-class TraceMethod(str, Enum):
-    SERIES = "series"
-    WALK = "half-walk"
-
-
-class TraceRecord(NamedTuple):
-    """One computed trace value with its provenance and parameters."""
-
-    flux: Flux
-    lam: float
-    n: int
-    s: Optional[float]
-    kind: TraceKind
-    value: float
-    method: TraceMethod
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.flux.p,
-            "q": self.flux.q,
-            "lambda": self.lam,
-            "kind": self.kind.value,
-            "n": self.n,
-            "s": self.s,
-            "value": self.value,
-            "method": self.method.value,
-        }
 
 
 @functools.lru_cache(maxsize=4096)

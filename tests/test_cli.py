@@ -15,8 +15,8 @@ import hoftrace.chambers
 from hoftrace import traces
 from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
 from hoftrace.cli import main
-from hoftrace.core import lambda_tilde, make_flux
-from hoftrace.oracle import point_spectrum_roots
+from hoftrace.core import TraceMethod, TraceRecord, lambda_tilde, make_flux
+from hoftrace.oracle import point_spectrum_roots, walk_trace_table
 from hoftrace.traces import TraceKind, trace_series
 
 
@@ -64,6 +64,47 @@ def test_trace_table_schema(capsys):
     assert len(records) == 7
     for record in records:
         assert set(record) == {"p", "q", "lambda", "kind", "n", "s", "value", "method"}
+
+
+ODD_AND_ZERO_ORDERS = (0, *range(1, 64, 2))
+
+
+@pytest.mark.parametrize("lam", (0.7, 2.0, 3.0))
+@pytest.mark.parametrize("p, q", ((1, 3), (2, 5), (37, 101)))
+def test_unwalked_orders_print_what_the_walk_gave(capsys, p, q, lam):
+    # odd orders and order 0 are printed without a walk; the stdout is the
+    # document built from walk_trace_table's entry, as when every order walked
+    flux = make_flux(p, q)
+    for n in ODD_AND_ZERO_ORDERS:
+        code, out, err = run_cli(
+            capsys, "trace", "--p", str(p), "--q", str(q), "--lambda", repr(lam), "--n", str(n)
+        )
+        value = walk_trace_table(flux, lam, n)[n]
+        record = TraceRecord(flux, lam, n, None, TraceKind.FULL, value, TraceMethod.WALK)
+        document = {**record.to_dict(), "trace": value}
+        assert (code, err) == (0, "")
+        assert out == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n_max", (64, 63))
+@pytest.mark.parametrize("p, q, lam", ((1, 3, 2.0), (2, 7, 0.7), (37, 101, 3.0)))
+def test_trace_table_is_the_walk_table(capsys, p, q, lam, n_max):
+    flux_args = ("--p", str(p), "--q", str(q), "--lambda", repr(lam))
+    code, out, _ = run_cli(capsys, "trace", *flux_args, "--n-max", str(n_max))
+    assert code == 0
+    values = [record["value"] for record in json.loads(out)["records"]]
+    assert values == walk_trace_table(make_flux(p, q), lam, n_max)
+
+
+def test_odd_order_never_walks_into_an_overflow(capsys):
+    # Tr H^2 overflows at lambda 1e200; order 7 is 0 whatever the coupling, and
+    # no longer fails on an even order it does not print
+    code, out, err = run_cli(capsys, "trace", "--q", "3", "--lambda", "1e200", "--n", "7")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trace"] == 0.0
+    code, out, err = run_cli(capsys, "trace", "--q", "3", "--lambda", "1e200", "--n", "8")
+    assert (code, out) == (1, "")
+    assert err == "hoftrace: error: Tr H^2 exceeds the float range at lambda 1e+200\n"
 
 
 def test_point_trace_values_and_warning(capsys):
@@ -491,6 +532,9 @@ def test_tiny_lambda_where_no_table_is_built(capsys):
         ("series", "--q", "1", "--lambda", "0", "--kind", "pm-s", "--s", "0", "--n-max", "2"),
         ("coeffs", "--q", "3", "--lambda", "0", "--method", "nested"),
         ("point-trace", "--q", "1", "--lambda", "-1", "--n", "2", "--s", "0"),
+        ("trace", "--q", "3", "--lambda", "0", "--n", "7"),
+        ("trace", "--q", "3", "--lambda", "-1", "--n-max", "1"),
+        ("trace", "--q", "3", "--lambda", "0", "--n", "8"),
     ],
 )
 def test_invalid_coupling_exits_one(capsys, argv):
@@ -603,7 +647,8 @@ COLD_COMMAND = (
     "    code = hoftrace.cli.main(sys.argv[1:])\n"
     "print(code, *sys.modules)\n"
 )
-UNNEEDED = ("dataclasses", "fractions", "numpy")  # by every array-free printing command
+UNNEEDED = ("csv", "dataclasses", "fractions", "numpy")  # by every array-free JSON command
+NO_WALK = ("hoftrace.oracle", "hoftrace.traces", "hoftrace.dos", *UNNEEDED)
 
 
 @pytest.mark.parametrize(
@@ -616,6 +661,9 @@ UNNEEDED = ("dataclasses", "fractions", "numpy")  # by every array-free printing
         (("series", "--q", "5", "--kind", "pm-s", "--s", "1", "--n-max", "16"),
          ("hoftrace.dos", *UNNEEDED)),
         (("dos", "--q", "2", "--lambda", "0.7"), UNNEEDED),
+        (("trace", "--q", "3", "--n", "7"), NO_WALK),
+        (("trace", "--q", "3", "--n", "0"), NO_WALK),
+        (("trace", "--q", "3", "--n-max", "1"), NO_WALK),
     ],
 )
 def test_cold_command_loads_only_what_it_runs(argv, unloaded):
@@ -648,3 +696,21 @@ def test_unwritable_output_exits_with_one_line(tmp_path, argv, target, reason):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"hoftrace: error: cannot write --output {path}: {reason}\n"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the reader of stdout is gone before anything is written, as in `| head`
+    # on an output larger than the pipe buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(hoftrace.__file__).resolve().parents[1])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hoftrace", "trace", "--q", "3", "--n-max", "64"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""

@@ -32,6 +32,15 @@ def test_oracle_names_are_the_oracle_objects():
     assert bz_trace is hoftrace.oracle.bz_trace
 
 
+def test_trace_record_is_one_type():
+    # defined in core, where trace can reach it without compiling traces
+    import hoftrace.core
+    import hoftrace.traces
+
+    assert hoftrace.TraceRecord is hoftrace.traces.TraceRecord is hoftrace.core.TraceRecord
+    assert hoftrace.TraceMethod is hoftrace.traces.TraceMethod is hoftrace.core.TraceMethod
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="module 'hoftrace' has no attribute 'no_such_name'"):
         hoftrace.no_such_name
