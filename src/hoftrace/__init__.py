@@ -41,6 +41,7 @@ _MODULE_OF = {
             "hofstadter_trace", "midband_trace", "newton_power_sums", "pm_s_coefficients",
             "pm_s_trace", "trace_series",
         ),
+        "walk": ("walk_trace",),
     }.items()
     for name in names
 }

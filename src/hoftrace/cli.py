@@ -137,19 +137,26 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         _check_order(args.n_max, "--n-max")
         orders = range(args.n_max + 1)
+    check_coupling(args.lam)
     # closed walks on the bipartite lattice have even length, so odd moments are
-    # exactly 0 and Tr H^0 = 1: only an even order >= 2 needs the walk, and NumPy
-    walk_length = max((n for n in orders if n % 2 == 0), default=0)
-    if walk_length >= 2:
+    # exactly 0 and Tr H^0 = 1: only the even orders >= 2 are walked.  A single
+    # order walks in pure Python; a table walks all of them at once in NumPy
+    walked: dict[int, float] = {}
+    if args.n is not None:
+        if args.n >= 2 and args.n % 2 == 0:
+            from .walk import walk_trace
+
+            walked[args.n] = walk_trace(flux, args.lam, args.n)
+    elif args.n_max >= 2:
         from . import oracle
 
-        table = oracle.walk_trace_table(flux, args.lam, walk_length)
-    else:
-        check_coupling(args.lam)
-        table = [1.0]
+        table = oracle.walk_trace_table(flux, args.lam, args.n_max)
+        walked = {n: table[n] for n in range(2, args.n_max + 1, 2)}
     records = [
-        TraceRecord(
-            flux, args.lam, n, None, TraceKind.FULL, 0.0 if n % 2 else table[n], TraceMethod.WALK
+        TraceRecord(flux, args.lam, n, None, TraceKind.FULL, walked[n], TraceMethod.WALK)
+        if n in walked
+        else TraceRecord(
+            flux, args.lam, n, None, TraceKind.FULL, 0.0 if n % 2 else 1.0, TraceMethod.SYMMETRY
         )
         for n in orders
     ]

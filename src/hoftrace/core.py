@@ -43,8 +43,11 @@ class TraceKind(str, Enum):
 
 
 class TraceMethod(str, Enum):
+    """How a trace record's value was obtained."""
+
     SERIES = "series"
     WALK = "half-walk"
+    SYMMETRY = "symmetry"  # odd orders (0.0) and order 0 (1.0), fixed without a walk
 
 
 class _FluxFields(NamedTuple):

@@ -11,7 +11,8 @@ The zone average runs over the band angles (q*kx, q*ky), the only way
 momentum enters the spectrum; a uniform G x G grid of them averages Tr H**n
 exactly once G >= n//q + 1.
 
-The walk route is the half-walk moment engine behind ``hoftrace trace``:
+The walk route is the half-walk table behind ``hoftrace trace --n-max``
+and ``verify``, and the reference for the single-order walk in ``walk``:
 Tr H**(2t) per site is the squared norm of H**t applied to a site state, a
 sum of squares in which nothing cancels.  Flux enters only as the Peierls
 phase of horizontal hops, so a Fourier transform along x turns the lattice
@@ -31,11 +32,7 @@ import numpy as np
 
 from .chambers import ChambersPolynomial, chambers_nested
 from .core import Flux, check_coupling, lambda_tilde
-
-
-# momenta on the walk's ring: 2t+1 = 65 suffices for every n <= 64, and one
-# grid for all of them makes each table entry independent of n_max
-MIN_MOMENTA = 65
+from .walk import MIN_MOMENTA
 
 
 class RangeError(ValueError):

@@ -9,6 +9,11 @@ import numpy as np
 from hoftrace.core import enumerate_partition_terms, multinomial_weight
 
 
+# how far walk.walk_trace may stray from oracle.walk_trace_table's entry, relative:
+# both walk the same momentum ring and round in a different order
+WALK_RTOL = 4e-15
+
+
 def rel_err(a: float, b: float) -> float:
     """Deviation scaled by the larger magnitude, floored at 1."""
     return abs(a - b) / max(1.0, abs(a), abs(b))

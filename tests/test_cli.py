@@ -13,7 +13,7 @@ import pytest
 import hoftrace
 import hoftrace.chambers
 from hoftrace import traces
-from helpers import ZONE_CASES, all_fluxes, rel_err, zone_traces
+from helpers import WALK_RTOL, ZONE_CASES, all_fluxes, rel_err, zone_traces
 from hoftrace.cli import main
 from hoftrace.core import TraceMethod, TraceRecord, lambda_tilde, make_flux
 from hoftrace.oracle import point_spectrum_roots, walk_trace_table
@@ -72,15 +72,15 @@ ODD_AND_ZERO_ORDERS = (0, *range(1, 64, 2))
 @pytest.mark.parametrize("lam", (0.7, 2.0, 3.0))
 @pytest.mark.parametrize("p, q", ((1, 3), (2, 5), (37, 101)))
 def test_unwalked_orders_print_what_the_walk_gave(capsys, p, q, lam):
-    # odd orders and order 0 are printed without a walk; the stdout is the
-    # document built from walk_trace_table's entry, as when every order walked
+    # odd orders and order 0 are printed without a walk, labelled by the symmetry
+    # that fixes them; the value is walk_trace_table's entry
     flux = make_flux(p, q)
     for n in ODD_AND_ZERO_ORDERS:
         code, out, err = run_cli(
             capsys, "trace", "--p", str(p), "--q", str(q), "--lambda", repr(lam), "--n", str(n)
         )
         value = walk_trace_table(flux, lam, n)[n]
-        record = TraceRecord(flux, lam, n, None, TraceKind.FULL, value, TraceMethod.WALK)
+        record = TraceRecord(flux, lam, n, None, TraceKind.FULL, value, TraceMethod.SYMMETRY)
         document = {**record.to_dict(), "trace": value}
         assert (code, err) == (0, "")
         assert out == json.dumps(document, indent=2) + "\n"
@@ -244,18 +244,31 @@ def test_dos_document(capsys):
 
 
 def test_csv_round_trip(capsys):
+    # the CSV table re-parses to the JSON table bit for bit
     code, out, _ = run_cli(
         capsys, "trace", "--q", "3", "--n-max", "8", "--format", "csv"
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 9
-    for row in rows:
-        n = int(row["n"])
-        reparsed = float(row["value"])
-        _, single_out, _ = run_cli(capsys, "trace", "--q", "3", "--n", str(n))
-        assert reparsed == json.loads(single_out)["value"]
+    _, json_out, _ = run_cli(capsys, "trace", "--q", "3", "--n-max", "8")
+    records = json.loads(json_out)["records"]
+    assert len(rows) == len(records) == 9
+    for row, record in zip(rows, records):
+        assert (int(row["n"]), float(row["value"]), row["method"]) == (
+            record["n"], record["value"], record["method"]
+        )
         assert row["s"] == ""
+
+
+def test_single_orders_match_the_table(capsys):
+    # a single order walks its own columns in pure Python, so it matches the
+    # NumPy table to rounding, not bit for bit (6: 148.00000000000003 against 148.0)
+    _, json_out, _ = run_cli(capsys, "trace", "--q", "3", "--n-max", "8")
+    for record in json.loads(json_out)["records"]:
+        _, single_out, _ = run_cli(capsys, "trace", "--q", "3", "--n", str(record["n"]))
+        single = json.loads(single_out)
+        assert abs(single["value"] - record["value"]) <= WALK_RTOL * record["value"]
+        assert single["method"] == record["method"]
 
 
 def test_coeffs_csv_round_trip(capsys):
@@ -436,7 +449,8 @@ def test_trace_table_matches_zone(capsys, p, q, lam):
     for record in records:
         expected = zone[record["n"]]
         assert abs(record["value"] - expected) <= 1e-12 * expected
-        assert record["method"] == "half-walk"
+        walked = record["n"] >= 2 and record["n"] % 2 == 0
+        assert record["method"] == ("half-walk" if walked else "symmetry")
 
 
 @pytest.mark.parametrize(
@@ -648,7 +662,8 @@ COLD_COMMAND = (
     "print(code, *sys.modules)\n"
 )
 UNNEEDED = ("csv", "dataclasses", "fractions", "numpy")  # by every array-free JSON command
-NO_WALK = ("hoftrace.oracle", "hoftrace.traces", "hoftrace.dos", *UNNEEDED)
+# a trace that builds no NumPy table (any --n, --n-max below 2) loads none of these
+NO_TABLE = ("hoftrace.oracle", "hoftrace.traces", "hoftrace.dos", *UNNEEDED)
 
 
 @pytest.mark.parametrize(
@@ -661,9 +676,11 @@ NO_WALK = ("hoftrace.oracle", "hoftrace.traces", "hoftrace.dos", *UNNEEDED)
         (("series", "--q", "5", "--kind", "pm-s", "--s", "1", "--n-max", "16"),
          ("hoftrace.dos", *UNNEEDED)),
         (("dos", "--q", "2", "--lambda", "0.7"), UNNEEDED),
-        (("trace", "--q", "3", "--n", "7"), NO_WALK),
-        (("trace", "--q", "3", "--n", "0"), NO_WALK),
-        (("trace", "--q", "3", "--n-max", "1"), NO_WALK),
+        (("trace", "--q", "3", "--n", "7"), NO_TABLE),
+        (("trace", "--q", "3", "--n", "0"), NO_TABLE),
+        (("trace", "--q", "3", "--n-max", "1"), NO_TABLE),
+        (("trace", "--q", "3", "--n", "8"), NO_TABLE),
+        (("trace", "--p", "37", "--q", "101", "--n", "64"), NO_TABLE),
     ],
 )
 def test_cold_command_loads_only_what_it_runs(argv, unloaded):
