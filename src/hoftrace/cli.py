@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 # traces, dos and oracle are imported by the commands that run them, so a cold
 # process compiles and loads only what its command needs
@@ -27,8 +28,6 @@ from .core import (
 )
 
 N_MAX_CAP = 64
-# verify's walk-check range: past n = 20 the float partition sum fails 1e-8 at most q <= 13
-WALK_CHECK_N_MAX = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,242 +257,52 @@ def cmd_dos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _deviation(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
-    from . import dos, oracle, traces
-
-    q = flux.q
-    lt = _density_lambda_tilde(lam, q)
-    poly = chambers_nested(flux, lam)
-    _check_float_range(poly.a, "Chambers coefficient")
-    evens = [n for n in range(2, n_max + 1, 2)]
-    checks: list[dict] = []
-
-    def add(name: str, deviation: float, tolerance: float) -> None:
-        checks.append(
-            {
-                "check": name,
-                "max_deviation": deviation,
-                "tolerance": tolerance,
-                "status": "pass" if deviation <= tolerance else "fail",
-            }
-        )
-
-    # the band identity at two band-angle pairs, named as perfbench/metrics.json pins it
-    add(
-        "coefficients-recursive-vs-nested",
-        oracle.band_identity_deviation(poly, (0.7, 2.9), (2.3, 1.1)),
-        1e-12,
-    )
-    if q >= 2:
-        add(
-            "a2-identity",
-            _deviation(poly.a[1], q * (1.0 + (lam / 2.0) ** 2)),
-            1e-9,
-        )
-    dual = chambers_nested(flux, 4.0 / lam)
-    add(
-        "coefficient-aubry-duality",
-        max(
-            _deviation(aj, (lam / 2.0) ** (2 * j) * dj)
-            for j, (aj, dj) in enumerate(zip(poly.a, dual.a))
-        ),
-        1e-9,
-    )
-
-    formula = {n: traces.almost_mathieu_trace(flux, lam, n) for n in evens}
-    # the exact reduced-zone grid for the highest order serves every order
-    bz_values = [oracle.bz_trace(flux, lam, n, n_max // q + 1) for n in evens]
-    add(
-        "trace-vs-bz",
-        max(_deviation(formula[n], v) for n, v in zip(evens, bz_values)) if evens else 0.0,
-        1e-8,
-    )
-    walk_cap = min(n_max, WALK_CHECK_N_MAX)
-    walks = oracle.walk_trace_table(flux, lam, walk_cap)
-    add(
-        "trace-vs-walk",
-        max(
-            (_deviation(formula[n], walks[n]) for n in evens if n <= walk_cap),
-            default=0.0,
-        ),
-        1e-8,
-    )
-    add(
-        "midband-coincidence",
-        max(
-            (
-                abs(formula[n] - traces.midband_trace(poly, n))
-                for n in evens
-                if q > n // 2
-            ),
-            default=0.0,
-        ),
-        0.0,
-    )
-
-    coeffs = poly.energy_coefficients()
-    dev = 0.0
-    for s in (0.0, 1.0, 2.0 * (1.0 + lt)):
-        minus = list(coeffs)
-        minus[0] -= s
-        plus = list(coeffs)
-        plus[0] += s
-        p_minus = traces.newton_power_sums(minus, n_max)
-        p_plus = traces.newton_power_sums(plus, n_max)
-        for n in evens:
-            newton = (p_minus[n - 1] + p_plus[n - 1]) / (2.0 * q)
-            dev = max(dev, _deviation(newton, traces.pm_s_trace(poly, n, s)))
-    add("pm-s-vs-newton", dev, 1e-9)
-
-    dev = 0.0
-    for kind, s in (
-        (TraceKind.MID_BAND, None),
-        (TraceKind.PLUS_MINUS_S, 1.0),
-        (TraceKind.FULL, None),
-    ):
-        stream = traces.trace_series(flux, lam, kind, s, n_max)
-        for n, value in enumerate(stream):
-            if kind is TraceKind.MID_BAND:
-                direct = traces.midband_trace(poly, n)
-            elif kind is TraceKind.PLUS_MINUS_S:
-                direct = traces.pm_s_trace(poly, n, s)
-            else:
-                direct = traces.almost_mathieu_trace(flux, lam, n)
-            if n == 0:
-                direct = 1.0
-            dev = max(dev, _deviation(value, direct))
-    add("series-vs-direct", dev, 1e-10)
-
-    add(
-        "trace-aubry-duality",
-        max(
-            (
-                _deviation(
-                    formula[n],
-                    (lam / 2.0) ** n * traces.almost_mathieu_trace(flux, 4.0 / lam, n),
-                )
-                for n in evens
-            ),
-            default=0.0,
-        ),
-        1e-9,
-    )
-
-    profile = dos.DensityProfile(lt)
-    add(
-        "dos-moment-quadrature",
-        max(
-            _deviation(dos.dos_moment(profile, k), dos.dos_moment_exact(k, lt))
-            for k in range(4)
-        ),
-        1e-9,
-    )
-
-    add(
-        "point-trace-closure-exact",
-        max(
-            (
-                _deviation(dos.integrate_point_traces_exact(flux, lam, n), formula[n])
-                for n in evens
-            ),
-            default=0.0,
-        ),
-        1e-12,
-    )
-    add(
-        "point-trace-closure-quadrature",
-        max(
-            (
-                _deviation(dos.integrate_point_traces(flux, lam, n), formula[n])
-                for n in evens
-            ),
-            default=0.0,
-        ),
-        1e-5,
-    )
-
-    if lam == 2.0 and q <= 6:
-        add(
-            "trace-sum-rule",
-            max(
-                _deviation(oracle.trace_sum_rule(flux, k), float(math.comb(2 * k, k) ** 2))
-                for k in (1, 2, 3)
-            ),
-            1e-12,
-        )
-    return checks
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    flux = _flux_from_args(args)
-    _check_order(args.n_max, "--n-max")
-    checks = _verify_checks(flux, args.lam, args.n_max)
-    failed = [c for c in checks if c["status"] == "fail"]
-    document = {
-        "p": flux.p,
-        "q": flux.q,
-        "lambda": args.lam,
-        "n_max": args.n_max,
-        "checks": checks,
-        "status": "fail" if failed else "pass",
-    }
-    _emit(document, checks, args.format, args.output)
-    return 2 if failed else 0
+    from . import verify  # only verify compiles and loads its suite
+
+    return verify.run(args)
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="hoftrace",
-        description="Spectral moment traces of the Hofstadter and almost "
-        "Mathieu operators at rational flux.",
+def _common_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, default=1, help="flux numerator")
+    p.add_argument("--q", type=int, required=True, help="flux denominator")
+    p.add_argument(
+        "--lambda", dest="lam", type=float, default=2.0,
+        help="anisotropy coupling (default 2, the isotropic case)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    def common(p: argparse.ArgumentParser, flux: bool = True) -> None:
-        if flux:
-            p.add_argument("--p", type=int, default=1, help="flux numerator")
-            p.add_argument("--q", type=int, required=True, help="flux denominator")
-        p.add_argument(
-            "--lambda", dest="lam", type=float, default=2.0,
-            help="anisotropy coupling (default 2, the isotropic case)",
-        )
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("coeffs", help="Chambers polynomial coefficient table")
-    common(p)
+def _coeffs_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
     p.add_argument("--method", choices=("recursive", "nested"),
                    help="ignored: both name the one nested-sum builder")
-    p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("trace", help="full quantum traces")
-    common(p)
+
+def _trace_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None, help="single moment order")
     group.add_argument("--n-max", type=int, default=None, help="table up to this order")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("point-trace", help="point-spectrum traces at given s")
-    common(p)
+
+def _point_trace_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, nargs="+", required=True,
                    help="band parameters; s=0 gives the mid-band trace")
-    p.set_defaults(func=cmd_point_trace)
 
-    p = sub.add_parser("series", help="generating-function coefficient stream")
-    common(p)
+
+def _series_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
     p.add_argument("--kind", choices=[k.value for k in TraceKind], default="full")
     p.add_argument("--s", type=float, default=None,
                    help="band parameter; read by --kind pm-s only")
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("dos", help="density of states samples and exact moments")
+
+def _dos_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=int, default=1)
     p.add_argument(
         "--lambda", dest="lam", type=float, default=2.0,
@@ -504,22 +313,60 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=int, default=201, help="number of sample points")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_dos)
 
-    p = sub.add_parser("verify", help="run the cross-oracle verification suite")
-    common(p)
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    _common_arguments(p)
     p.add_argument("--n-max", type=int, default=8)
-    p.set_defaults(func=cmd_verify)
 
+
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# every command by name, in the order `hoftrace --help` lists them
+_COMMANDS = {
+    "coeffs": _Command("Chambers polynomial coefficient table", _coeffs_arguments, cmd_coeffs),
+    "trace": _Command("full quantum traces", _trace_arguments, cmd_trace),
+    "point-trace": _Command(
+        "point-spectrum traces at given s", _point_trace_arguments, cmd_point_trace
+    ),
+    "series": _Command("generating-function coefficient stream", _series_arguments, cmd_series),
+    "dos": _Command("density of states samples and exact moments", _dos_arguments, cmd_dos),
+    "verify": _Command("run the cross-oracle verification suite", _verify_arguments, cmd_verify),
+}
+
+
+@functools.cache
+def _build_parser(command: Optional[str]) -> _Parser:
+    """The parser of every command, with the arguments of ``command`` alone.
+
+    The other commands still list their help lines, so the top-level help and
+    usage errors read the same whichever command is built.
+    """
+    parser = _Parser(
+        prog="hoftrace",
+        description="Spectral moment traces of the Hofstadter and almost "
+        "Mathieu operators at rational flux.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if name == command:
+            spec.add_arguments(p)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the invoked command's arguments are built; argparse reads it from argv[0]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         _check_finite(args)
-        return args.func(args)
+        return _COMMANDS[args.command].run(args)
     except (ValueError, ArithmeticError) as exc:  # InvalidFlux, DomainError, ... subclass ValueError
         print(f"hoftrace: error: {exc}", file=sys.stderr)
         return 1
@@ -527,13 +374,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entrypoint() -> None:
     try:
-        code = main(sys.argv[1:])
-        sys.stdout.flush()  # a closed pipe shows here, not in the exit's own flush
-    except BrokenPipeError:
-        # the reader went away (`| head`): silence the interpreter's final
-        # flush by pointing stdout at devnull, and exit 1 without a traceback
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+        sys.stdout.flush()  # a failed write shows here, not in the exit's own flush
+    except OSError as exc:
+        # the reader went away (`| head`) or the device is full: silence the
+        # interpreter's final flush by pointing stdout at devnull, and exit 1
+        # without a traceback; a closed pipe needs no message
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"hoftrace: error: cannot write to stdout: {exc.strerror or exc}",
+                  file=sys.stderr)
         code = 1
+    # every object dies with the process: frozen, the exit's collections skip them
+    gc.freeze()
     sys.exit(code)
 
 

@@ -26,6 +26,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, stdout=subprocess.PIPE, env=os.environ):
+    """``python -m hoftrace ARGV`` in a fresh process, through the installed entry point."""
+    src = str(Path(hoftrace.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "hoftrace", *argv],
+        env={**env, "PYTHONPATH": src, "COLUMNS": "80"},  # argparse wraps help at COLUMNS
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
 def test_coeffs_golden(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--p", "1", "--q", "4")
     assert code == 0
@@ -491,12 +501,7 @@ def test_arithmetic_error_exits_one(capsys, argv):
 def test_huge_lambda_exits_with_one_line(argv, message):
     # in a fresh process, so that NumPy's RuntimeWarnings would reach stderr;
     # Python's own message was "(34, 'Numerical result out of range')"
-    src = str(Path(hoftrace.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-m", "hoftrace", *argv], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    result = run_module(*argv)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"hoftrace: error: {message}\n"
@@ -661,7 +666,8 @@ COLD_COMMAND = (
     "    code = hoftrace.cli.main(sys.argv[1:])\n"
     "print(code, *sys.modules)\n"
 )
-UNNEEDED = ("csv", "dataclasses", "fractions", "numpy")  # by every array-free JSON command
+# by every array-free JSON command; only verify imports its suite
+UNNEEDED = ("csv", "dataclasses", "fractions", "numpy", "hoftrace.verify")
 # a trace that builds no NumPy table (any --n, --n-max below 2) loads none of these
 NO_TABLE = ("hoftrace.oracle", "hoftrace.traces", "hoftrace.dos", *UNNEEDED)
 
@@ -720,14 +726,68 @@ def test_closed_stdout_exits_one_without_a_traceback():
     # on an output larger than the pipe buffer
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(hoftrace.__file__).resolve().parents[1])
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "hoftrace", "trace", "--q", "3", "--n-max", "64"],
-            env={**os.environ, "PYTHONPATH": src}, stdout=write_end, stderr=subprocess.PIPE,
-            text=True, timeout=120,
-        )
+        result = run_module("trace", "--q", "3", "--n-max", "64", stdout=write_end)
     finally:
         os.close(write_end)
     assert result.returncode == 1
     assert result.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", (False, True))
+def test_full_stdout_exits_one_with_one_line(unbuffered):
+    # buffered, the write fails in the final flush; unbuffered, inside print
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = run_module("trace", "--q", "3", "--n", "8", stdout=full, env=env)
+    assert result.returncode == 1
+    assert result.stderr == "hoftrace: error: cannot write to stdout: No space left on device\n"
+
+
+def test_exit_codes_through_the_entry_point():
+    result = run_module("trace", "--q", "3", "--n", "8")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["trace"] > 0.0
+
+    result = run_module("trace", "--q", "0", "--n", "2")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "hoftrace: error: denominator must be positive, got 0\n"
+
+    # 3/8 at lambda = 2 fails checks at n = 64: exit 2, with the whole document printed
+    result = run_module("verify", "--p", "3", "--q", "8", "--n-max", "64")
+    assert (result.returncode, result.stderr) == (2, "")
+    doc = json.loads(result.stdout)
+    assert doc["status"] == "fail" and doc["n_max"] == 64
+    assert doc["checks"][-1]["check"] == "point-trace-closure-quadrature"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("trace", "--p", "2", "--q", "5", "--n-max", "64"), 0),
+        (("verify", "--p", "3", "--q", "8", "--n-max", "64", "--format", "csv"), 2),
+    ],
+)
+def test_output_file_is_written_in_full(tmp_path, argv, code):
+    path = tmp_path / "out.txt"
+    result = run_module(*argv, "--output", str(path))
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", "")
+    assert path.read_text(encoding="utf-8") == run_module(*argv).stdout
+
+
+# every command's --help and a few usage errors, captured from the parser that
+# built the arguments of all six commands: building one must not change a byte
+PARSER_GOLDEN = json.loads(Path(__file__).with_name("parser_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", PARSER_GOLDEN, ids=[" ".join(case["argv"]) or "no-command" for case in PARSER_GOLDEN]
+)
+def test_parser_output_is_pinned(case):
+    result = run_module(*case["argv"])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        case["code"], case["stdout"], case["stderr"]
+    )
