@@ -18,19 +18,15 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in {
-        "chambers": (
-            "ChambersPolynomial", "chambers_nested", "chambers_recursive",
-            "eval_energy_polynomial",
-        ),
+        "chambers": ("ChambersPolynomial", "chambers_nested", "chambers_recursive"),
         "core": (
             "DegenerateTerm", "Flux", "InvalidCoupling", "InvalidFlux", "PartitionTerm",
             "TraceKind", "TraceMethod", "TraceRecord", "enumerate_partition_terms",
             "lambda_tilde", "make_flux", "multinomial_weight",
         ),
         "dos": (
-            "DensityProfile", "DomainError", "dos_deformed", "dos_free", "dos_moment",
-            "dos_moment_exact", "elliptic_k", "integrate_point_traces",
-            "integrate_point_traces_exact",
+            "DensityProfile", "DomainError", "dos_deformed", "dos_moment", "dos_moment_exact",
+            "elliptic_k", "integrate_point_traces", "integrate_point_traces_exact",
         ),
         "oracle": (
             "InsufficientGridWarning", "RangeError", "band_energies", "bz_trace",

@@ -122,17 +122,3 @@ def chambers_nested(flux: Flux, lam: float) -> ChambersPolynomial:
 # the former recursive build's name; the recursion rounds exactly like the nest
 chambers_recursive = chambers_nested
 
-
-def eval_energy_polynomial(poly: ChambersPolynomial, energy: float) -> float:
-    """Evaluate P(E) = -sum_j a(2j) E^(q-2j) by Horner in E**2.
-
-    The expanded polynomial form is used so that energy = 0 is allowed even
-    though the defining expression divides by E.
-    """
-    e2 = energy * energy
-    acc = 0.0
-    for aj in poly.a:
-        acc = acc * e2 - aj
-    if poly.flux.q % 2:
-        acc *= energy
-    return acc

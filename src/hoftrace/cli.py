@@ -37,6 +37,11 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    # argparse drops a failed write of --help; let it reach entrypoint, which exits 1
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _json_safe(value) -> object:
     if isinstance(value, float) and not math.isfinite(value):

@@ -10,10 +10,10 @@ convention is pinned by the series identity (2/pi) K(16x) = sum binom(2k,k)**2 x
 For lt = 1 it is the classic square-lattice density (2*pi**2)**(-1) * K(1 - s**2/16).
 
 Integrating the +/-s point-spectrum trace against this density reproduces
-the full quantum trace.  Two routes are provided: an exact one that pairs
-the s**2-expansion of the trace with closed-form moments, and a numerical
-one that actually integrates the tabulated density (and thereby validates
-the density construction itself).  The density table's tanh-sinh rule is
+the full quantum trace: the trace's s**(2k) coefficients weighed by the
+density's 2k-th moments.  The moments come either in closed form or as
+sums over a tanh-sinh table of the density, which checks the density
+construction itself.  The density table's tanh-sinh rule is
 built with ``math`` alone, so this module never loads NumPy.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import Flux, lambda_tilde
 from .traces import cached_polynomial, central_factor, pm_s_coefficients
@@ -54,25 +54,6 @@ def elliptic_k(m: float) -> float:
     return _agm_k(math.sqrt(1.0 - m))
 
 
-def dos_free(s: float) -> float:
-    """Free square-lattice density of states (2*pi**2)**(-1) * K(1 - s**2/16).
-
-    Zero outside |s| > 4; the finite one-sided limit 1/(4*pi) is returned at
-    the band edge |s| = 4, and the logarithmic divergence at s = 0 is
-    reported as math.inf.  The elliptic parameter is fed to the AGM through
-    its complement root |s|/4, which stays accurate arbitrarily close to
-    the singularity.
-    """
-    x = abs(s)
-    if x > 4.0:
-        return 0.0
-    if x == 4.0:
-        return 1.0 / (4.0 * math.pi)
-    if x == 0.0:
-        return math.inf
-    return _agm_k(x / 4.0) / (2.0 * math.pi**2)
-
-
 def dos_deformed(s: float, lam_tilde: float) -> float:
     """Density of 2*(cos(q*kx) + lam_tilde*cos(q*ky)) over uniform momenta.
 
@@ -82,16 +63,14 @@ def dos_deformed(s: float, lam_tilde: float) -> float:
     continued as K(1/m)/sqrt(m).  Both complement roots are formed from the
     factors (|s| -/+ pinch) and (edge -/+ |s|), never as sqrt(1 - m), so they
     keep their relative accuracy next to the singularity and no product
-    leaves the float range.  lam_tilde = 1 delegates to :func:`dos_free`.
-    The value at the interior logarithmic singularity
-    |s| = pinch = |2*lam_tilde - 2| is math.inf; at the support edge the
-    finite inner limit 1/(4*pi*sqrt(lam_tilde)) is returned, mirroring
-    dos_free.
+    leaves the float range.  lam_tilde = 1 is the free square lattice: the
+    pinch is 0 and the root is |s|/4 exactly.  The value at the interior
+    logarithmic singularity |s| = pinch = |2*lam_tilde - 2| is math.inf; at
+    the support edge the finite inner limit 1/(4*pi*sqrt(lam_tilde)) is
+    returned.
     """
     if not lam_tilde > 0.0:
         raise DomainError(f"lam_tilde must be positive, got {lam_tilde}")
-    if lam_tilde == 1.0:
-        return dos_free(s)
     x = abs(s)
     lt = lam_tilde
     edge = 2.0 * (1.0 + lt)
@@ -155,28 +134,27 @@ def dos_moment_exact(k: int, lam_tilde: float) -> float:
 def dos_moment(profile: DensityProfile, k: int) -> float:
     """2k-th moment of the density, summed over the tanh-sinh density table.
 
-    Uses the same fixed rule as :func:`integrate_point_traces`, so this
-    moment check validates exactly the quadrature that recovers the trace.
+    :func:`integrate_point_traces` weighs the trace by these moments, so
+    checking them against the closed form checks the quadrature that
+    recovers the trace.
     """
     if k < 0:
         raise ValueError(f"moment index must be nonnegative, got {k}")
-    abscissas, weights = _density_table(profile.lam_tilde, QUADRATURE_NODES)
+    abscissas, weights = _density_table(profile.lam_tilde)
     try:
         return sum(w * s ** (2 * k) for s, w in zip(abscissas, weights))
     except OverflowError:  # float ** raises where float * gives inf
         raise OverflowError(f"density moment {k} exceeds the float range") from None
 
 
-# default node count: dos_moment then meets the exact moments k < 4 to
-# 1.5e-10 at every lam_tilde = (lam/2)**q, lam in {0.7, 2, 3}, q <= 13
+# node count of every density table: dos_moment then meets the exact moments
+# k < 4 to 1.5e-10 at every lam_tilde = (lam/2)**q, lam in {0.7, 2, 3}, q <= 13
 QUADRATURE_NODES = 160
 _TANH_SINH_CUTOFF = 3.0
 
 
 @functools.lru_cache(maxsize=256)
-def _density_table(
-    lam_tilde: float, nodes: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _density_table(lam_tilde: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Fixed tanh-sinh abscissas over the support with density-weighted weights.
 
     The support is split at the interior singularities; each smooth piece
@@ -188,9 +166,9 @@ def _density_table(
     cuts = sorted(
         {-edge, edge, *(p for p in profile.interior_singularities if -edge < p < edge)}
     )
-    step = 2.0 * _TANH_SINH_CUTOFF / (nodes - 1)
+    step = 2.0 * _TANH_SINH_CUTOFF / (QUADRATURE_NODES - 1)
     base = []
-    for i in range(nodes):
+    for i in range(QUADRATURE_NODES):
         u = -_TANH_SINH_CUTOFF + i * step
         sinh_u = 0.5 * math.pi * math.sinh(u)
         base.append(
@@ -214,28 +192,30 @@ def _density_table(
     return tuple(abscissas), tuple(weights)
 
 
-def integrate_point_traces(flux: Flux, lam: float, n: int) -> float:
-    """Recover the full quantum trace by integrating +/-s traces against the density.
+def _moment_sum(
+    flux: Flux, lam: float, n: int, moment: Callable[[int, float], float]
+) -> float:
+    """sum_k T_k(n) * moment(k, lam_tilde): the +/-s trace integrated over s.
 
-    The trace factor is an even polynomial in s, evaluated from its
-    coefficient expansion at cached quadrature abscissas.  When q > n/2 the
-    factor is constant in s and the integral reduces to normalization times
-    the mid-band trace.
+    T_k(n) is the s**(2k) coefficient of the +/-s trace, so weighing it by
+    the 2k-th density moment integrates that trace against the density.
     """
     if n % 2:
         return 0.0
     lt = lambda_tilde(lam, flux.q)
-    poly = cached_polynomial(flux, lam)
-    coeffs = pm_s_coefficients(poly, n)
-    abscissas, weights = _density_table(lt, QUADRATURE_NODES)
-    total = 0.0
-    for s, w in zip(abscissas, weights):
-        s2 = s * s
-        value = 0.0
-        for t in reversed(coeffs):
-            value = value * s2 + t
-        total += w * value
-    return total
+    coeffs = pm_s_coefficients(cached_polynomial(flux, lam), n)
+    return sum(t * moment(k, lt) for k, t in enumerate(coeffs))
+
+
+def integrate_point_traces(flux: Flux, lam: float, n: int) -> float:
+    """Recover the full quantum trace by integrating +/-s traces against the density.
+
+    Each s**(2k) coefficient is paired with the quadrature moment
+    :func:`dos_moment`, a sum over the tanh-sinh density table.  When
+    q > n/2 only k = 0 is left, and the integral is the mid-band trace times
+    the table's normalization.
+    """
+    return _moment_sum(flux, lam, n, lambda k, lt: dos_moment(DensityProfile(lt), k))
 
 
 def integrate_point_traces_exact(flux: Flux, lam: float, n: int) -> float:
@@ -244,9 +224,4 @@ def integrate_point_traces_exact(flux: Flux, lam: float, n: int) -> float:
     Pairs each s**(2k) coefficient of the +/-s trace with the exact 2k-th
     density moment, so the only error is floating-point reassociation.
     """
-    if n % 2:
-        return 0.0
-    lt = lambda_tilde(lam, flux.q)
-    poly = cached_polynomial(flux, lam)
-    coeffs = pm_s_coefficients(poly, n)
-    return sum(t * dos_moment_exact(k, lt) for k, t in enumerate(coeffs))
+    return _moment_sum(flux, lam, n, dos_moment_exact)

@@ -29,7 +29,7 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
     lt = cli._density_lambda_tilde(lam, q)
     poly = cli.chambers_nested(flux, lam)
     cli._check_float_range(poly.a, "Chambers coefficient")
-    evens = [n for n in range(2, n_max + 1, 2)]
+    evens = range(2, n_max + 1, 2)
     checks: list[dict] = []
 
     def add(name: str, deviation: float, tolerance: float) -> None:
@@ -65,39 +65,32 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
     )
 
     formula = {n: traces.almost_mathieu_trace(flux, lam, n) for n in evens}
+
+    def worst(values: dict[int, float]) -> float:
+        # the formula's worst deviation from another route over the orders it gives
+        return max((_deviation(formula[n], v) for n, v in values.items()), default=0.0)
+
     # the exact reduced-zone grid for the highest order serves every order
-    bz_values = [oracle.bz_trace(flux, lam, n, n_max // q + 1) for n in evens]
-    add(
-        "trace-vs-bz",
-        max(_deviation(formula[n], v) for n, v in zip(evens, bz_values)) if evens else 0.0,
-        1e-8,
-    )
+    grid = n_max // q + 1
+    add("trace-vs-bz", worst({n: oracle.bz_trace(flux, lam, n, grid) for n in evens}), 1e-8)
     walk_cap = min(n_max, WALK_CHECK_N_MAX)
     walks = oracle.walk_trace_table(flux, lam, walk_cap)
-    add(
-        "trace-vs-walk",
-        max(
-            (_deviation(formula[n], walks[n]) for n in evens if n <= walk_cap),
-            default=0.0,
-        ),
-        1e-8,
-    )
+    add("trace-vs-walk", worst({n: walks[n] for n in evens if n <= walk_cap}), 1e-8)
+
+    # the +/-s traces, each once; at s = 0 it is the mid-band trace
+    pm_s = {
+        s: {n: traces.pm_s_trace(poly, n, s) for n in evens}
+        for s in (0.0, 1.0, 2.0 * (1.0 + lt))
+    }
     add(
         "midband-coincidence",
-        max(
-            (
-                abs(formula[n] - traces.midband_trace(poly, n))
-                for n in evens
-                if q > n // 2
-            ),
-            default=0.0,
-        ),
+        max((abs(formula[n] - pm_s[0.0][n]) for n in evens if q > n // 2), default=0.0),
         0.0,
     )
 
     coeffs = poly.energy_coefficients()
     dev = 0.0
-    for s in (0.0, 1.0, 2.0 * (1.0 + lt)):
+    for s, direct in pm_s.items():
         minus = list(coeffs)
         minus[0] -= s
         plus = list(coeffs)
@@ -106,39 +99,28 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
         p_plus = traces.newton_power_sums(plus, n_max)
         for n in evens:
             newton = (p_minus[n - 1] + p_plus[n - 1]) / (2.0 * q)
-            dev = max(dev, _deviation(newton, traces.pm_s_trace(poly, n, s)))
+            dev = max(dev, _deviation(newton, direct[n]))
     add("pm-s-vs-newton", dev, 1e-9)
 
     dev = 0.0
-    for kind, s in (
-        (TraceKind.MID_BAND, None),
-        (TraceKind.PLUS_MINUS_S, 1.0),
-        (TraceKind.FULL, None),
+    for kind, s, direct in (
+        (TraceKind.MID_BAND, None, pm_s[0.0]),
+        (TraceKind.PLUS_MINUS_S, 1.0, pm_s[1.0]),
+        (TraceKind.FULL, None, formula),
     ):
         stream = traces.trace_series(flux, lam, kind, s, n_max)
         for n, value in enumerate(stream):
-            if kind is TraceKind.MID_BAND:
-                direct = traces.midband_trace(poly, n)
-            elif kind is TraceKind.PLUS_MINUS_S:
-                direct = traces.pm_s_trace(poly, n, s)
-            else:
-                direct = traces.almost_mathieu_trace(flux, lam, n)
-            if n == 0:
-                direct = 1.0
-            dev = max(dev, _deviation(value, direct))
+            # odd orders vanish and order 0 is 1
+            dev = max(dev, _deviation(value, direct.get(n, 0.0) if n else 1.0))
     add("series-vs-direct", dev, 1e-10)
 
     add(
         "trace-aubry-duality",
-        max(
-            (
-                _deviation(
-                    formula[n],
-                    (lam / 2.0) ** n * traces.almost_mathieu_trace(flux, 4.0 / lam, n),
-                )
+        worst(
+            {
+                n: (lam / 2.0) ** n * traces.almost_mathieu_trace(flux, 4.0 / lam, n)
                 for n in evens
-            ),
-            default=0.0,
+            }
         ),
         1e-9,
     )
@@ -155,24 +137,12 @@ def _verify_checks(flux: Flux, lam: float, n_max: int) -> list[dict]:
 
     add(
         "point-trace-closure-exact",
-        max(
-            (
-                _deviation(dos.integrate_point_traces_exact(flux, lam, n), formula[n])
-                for n in evens
-            ),
-            default=0.0,
-        ),
+        worst({n: dos.integrate_point_traces_exact(flux, lam, n) for n in evens}),
         1e-12,
     )
     add(
         "point-trace-closure-quadrature",
-        max(
-            (
-                _deviation(dos.integrate_point_traces(flux, lam, n), formula[n])
-                for n in evens
-            ),
-            default=0.0,
-        ),
+        worst({n: dos.integrate_point_traces(flux, lam, n) for n in evens}),
         1e-5,
     )
 

@@ -1,16 +1,12 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from helpers import continuant_coefficients, mpmath_coefficients, proper_fluxes, rel_err
 import hoftrace.chambers
-from hoftrace.chambers import (
-    _block_products,
-    chambers_nested,
-    chambers_recursive,
-    eval_energy_polynomial,
-)
+from hoftrace.chambers import _block_products, chambers_nested, chambers_recursive
 from hoftrace.core import Flux, InvalidCoupling, make_flux
 
 LAMBDA_SWEEP = (0.5, 1.0, 2.0, 3.0)
@@ -149,15 +145,15 @@ def test_nested_builds_each_block_once(monkeypatch, p, q):
     assert built == [q - 1]
 
 
-def test_eval_energy_polynomial():
-    p3 = chambers_nested(make_flux(1, 3), 2.0)
-    p4 = chambers_nested(make_flux(1, 4), 2.0)
-    assert eval_energy_polynomial(p3, 0.0) == 0.0
-    assert eval_energy_polynomial(p4, 0.0) == 4.0
-    assert abs(eval_energy_polynomial(p3, math.sqrt(6.0))) < 1e-10
+def test_energy_coefficients_values():
+    p3 = chambers_nested(make_flux(1, 3), 2.0).energy_coefficients()
+    p4 = chambers_nested(make_flux(1, 4), 2.0).energy_coefficients()
+    # ascending coefficients; numpy.polyval wants the highest power first
+    assert np.polyval(p3[::-1], 0.0) == 0.0
+    assert np.polyval(p4[::-1], 0.0) == 4.0
+    assert abs(np.polyval(p3[::-1], math.sqrt(6.0))) < 1e-10
     # generic point against the expanded monomial sum
+    a4 = chambers_nested(make_flux(1, 4), 2.0).a
     for energy in (-2.3, 0.7, 3.1):
-        expected = sum(
-            -aj * energy ** (4 - 2 * j) for j, aj in enumerate(p4.a)
-        )
-        assert eval_energy_polynomial(p4, energy) == pytest.approx(expected, rel=1e-13)
+        expected = sum(-aj * energy ** (4 - 2 * j) for j, aj in enumerate(a4))
+        assert np.polyval(p4[::-1], energy) == pytest.approx(expected, rel=1e-13)

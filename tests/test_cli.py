@@ -737,14 +737,16 @@ def test_closed_stdout_exits_one_without_a_traceback():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("unbuffered", (False, True))
 def test_full_stdout_exits_one_with_one_line(unbuffered):
-    # buffered, the write fails in the final flush; unbuffered, inside print
+    # buffered, the write fails in the final flush; unbuffered, inside print,
+    # or inside argparse's help writer, which would drop the error on its own
     env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        result = run_module("trace", "--q", "3", "--n", "8", stdout=full, env=env)
-    assert result.returncode == 1
-    assert result.stderr == "hoftrace: error: cannot write to stdout: No space left on device\n"
+    message = "hoftrace: error: cannot write to stdout: No space left on device\n"
+    for argv in (("trace", "--q", "3", "--n", "8"), ("--help",), ("trace", "--help")):
+        with open("/dev/full", "w") as full:
+            result = run_module(*argv, stdout=full, env=env)
+        assert (result.returncode, result.stderr) == (1, message), argv
 
 
 def test_exit_codes_through_the_entry_point():
@@ -791,3 +793,27 @@ def test_parser_output_is_pinned(case):
     assert (result.returncode, result.stdout, result.stderr) == (
         case["code"], case["stdout"], case["stderr"]
     )
+
+
+# verify's JSON for five cases at --n-max 64, the three perfbench pins among
+# them: every status and deviation is pinned bit for bit, except the
+# quadrature closure's, which summing moments instead of nodes may round
+# differently
+VERIFY_GOLDEN = json.loads(Path(__file__).with_name("verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", VERIFY_GOLDEN, ids=[" ".join(case["argv"][1:7]) for case in VERIFY_GOLDEN]
+)
+def test_verify_output_is_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    doc, golden = json.loads(out), case["document"]
+    assert (code, doc["status"]) == (case["code"], golden["status"])
+    assert [c["check"] for c in doc["checks"]] == [c["check"] for c in golden["checks"]]
+    for ours, pinned in zip(doc["checks"], golden["checks"]):
+        name = ours["check"]
+        assert (ours["status"], ours["tolerance"]) == (pinned["status"], pinned["tolerance"]), name
+        if name == "point-trace-closure-quadrature":
+            assert abs(ours["max_deviation"] - pinned["max_deviation"]) <= 1e-15
+        else:
+            assert ours["max_deviation"] == pinned["max_deviation"], name

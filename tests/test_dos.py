@@ -11,8 +11,8 @@ from hoftrace.dos import (
     DensityProfile,
     _density_table,
     DomainError,
+    _agm_k,
     dos_deformed,
-    dos_free,
     dos_moment,
     dos_moment_exact,
     elliptic_k,
@@ -53,11 +53,12 @@ def test_elliptic_k_series_is_squared_binomials():
 
 
 def test_dos_free_values():
-    assert dos_free(4.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-    assert dos_free(-4.0) == dos_free(4.0)
-    assert dos_free(0.0) == math.inf
-    assert dos_free(4.5) == 0.0
-    assert dos_free(1.3) == pytest.approx(
+    # lam_tilde = 1 is the free square lattice, (2*pi**2)**(-1) * K(1 - s**2/16)
+    assert dos_deformed(4.0, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+    assert dos_deformed(-4.0, 1.0) == dos_deformed(4.0, 1.0)
+    assert dos_deformed(0.0, 1.0) == math.inf
+    assert dos_deformed(4.5, 1.0) == 0.0
+    assert dos_deformed(1.3, 1.0) == pytest.approx(
         elliptic_k(1.0 - 1.3**2 / 16.0) / (2.0 * math.pi**2), rel=1e-12
     )
 
@@ -69,9 +70,11 @@ def test_dos_free_normalization_and_moments():
     assert rel_err(dos_moment(profile, 2), 36.0) < 1e-5
 
 
-def test_dos_deformed_delegates_and_support():
-    for s in (0.3, 1.7, 3.999):
-        assert dos_deformed(s, 1.0) == dos_free(s)
+def test_dos_deformed_free_case_and_support():
+    # at lam_tilde = 1 the pinch is 0 and the general branch's complement root
+    # sqrt((|s|/4)**2) is |s|/4 exactly: the free closed form, bit for bit
+    for s in (1e-150, 4.4e-16, 0.3, -1.7, 3.999, 4.0 - 2.0**-50):
+        assert dos_deformed(s, 1.0) == _agm_k(abs(s) / 4.0) / (2.0 * math.pi**2)
     assert dos_deformed(6.1, 2.0) == 0.0
     assert dos_deformed(-7.0, 2.0) == 0.0
     assert dos_deformed(3.1, 0.5) == 0.0
@@ -212,7 +215,7 @@ def _numpy_density_table(lam_tilde, nodes):
 # below either rule's own error against the exact moments (1.6e-10).
 @pytest.mark.parametrize("lt, tol", ((1e-6, 1e-12), (0.35, 1e-14), (1.0, 1e-14), (1e3, 1e-14)))
 def test_density_table_matches_numpy_rule(lt, tol):
-    abscissas, weights = _density_table(lt, QUADRATURE_NODES)
+    abscissas, weights = _density_table(lt)
     assert all(type(v) is float for v in abscissas + weights)
     ref_abscissas, ref_weights = _numpy_density_table(lt, QUADRATURE_NODES)
     # compared by moments, not node by node
